@@ -21,8 +21,9 @@ use comt_bench::report::{json_report, json_row, table};
 use comt_chunk::ChunkParams;
 use comt_digest::Digest;
 use comt_dist::{serve, DistClient, PullOptions, ServerOptions};
+use comt_oci::layout::OciDir;
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, ImageManifest, Registry};
+use comt_oci::{BlobStore, ImageBuilder, ImageManifest};
 use comt_vfs::Vfs;
 use serde::Value;
 use std::time::Instant;
@@ -102,7 +103,7 @@ fn main() {
     let v2_layer_bytes = layer_bytes(&local, &md2);
 
     let server =
-        serve(Registry::new(), "127.0.0.1:0", ServerOptions::default()).expect("bind daemon");
+        serve(OciDir::new(), "127.0.0.1:0", ServerOptions::default()).expect("bind daemon");
     let client = DistClient::new(server.addr().to_string());
     let params = ChunkParams::default();
     client

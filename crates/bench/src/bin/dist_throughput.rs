@@ -19,8 +19,9 @@
 use bytes::Bytes;
 use comt_bench::report::{json_report, json_row, table};
 use comt_dist::{serve, DistClient, ServerOptions};
+use comt_oci::layout::OciDir;
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, Registry};
+use comt_oci::{BlobStore, ImageBuilder};
 use comt_pkg::catalog;
 use comt_vfs::Vfs;
 use comt_workloads::source_tree;
@@ -193,7 +194,7 @@ fn main() {
         .map(|d| local.get(d).expect("closure blob").len() as u64)
         .sum();
 
-    let server = serve(Registry::new(), "127.0.0.1:0", ServerOptions::default())
+    let server = serve(OciDir::new(), "127.0.0.1:0", ServerOptions::default())
         .expect("bind loopback daemon");
     let addr = server.addr().to_string();
     let pusher = DistClient::new(addr.clone());
@@ -304,7 +305,7 @@ fn main() {
 
     println!("\n== Flash crowd: raw blob GETs, {loop_threads} loop thread(s) ==\n");
     let mass_server = serve(
-        Registry::new(),
+        OciDir::new(),
         "127.0.0.1:0",
         ServerOptions {
             threads: loop_threads,
@@ -373,7 +374,7 @@ fn main() {
     // meaningful with >= 4 cores to put the loops on.
     if cores >= 4 {
         let one_loop = serve(
-            Registry::new(),
+            OciDir::new(),
             "127.0.0.1:0",
             ServerOptions {
                 threads: 1,

@@ -40,7 +40,7 @@ use comt_dist::{
 };
 use comt_oci::layout::OciDir;
 use comt_oci::spec::{Descriptor, MediaType};
-use comt_oci::DiskRegistry;
+use comt_oci::{DiskRegistry, RegistryBackend};
 use comt_toolchain::Toolchain;
 use std::path::Path;
 use std::process::ExitCode;
@@ -425,7 +425,7 @@ fn cmd_serve(dir: &str, args: &[String]) -> Result<(), String> {
     // loses at most the in-flight publish.
     let reg =
         DiskRegistry::open(Path::new(dir)).map_err(|e| format!("open layout {dir}: {e}"))?;
-    let nrefs = reg.tags().len();
+    let nrefs = reg.index().ref_names().len();
     let nblobs = reg
         .store()
         .digests()
@@ -970,7 +970,8 @@ mod tests {
         oci.save(&dir).unwrap();
         let reg = DiskRegistry::open(&dir).unwrap();
         assert_eq!(
-            reg.resolve(&comt_dist::tag_key("app.dist+coM", "latest")),
+            reg.index()
+                .resolve_key(&comt_dist::tag_key("app.dist+coM", "latest")),
             Some(image.manifest_digest)
         );
         assert_eq!(

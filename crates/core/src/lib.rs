@@ -90,7 +90,7 @@ pub enum Phase {
     Collect,
     Redirect,
     Storage,
-    /// Registry transfer (push/pull, in-process or over the wire).
+    /// Registry transfer (push/pull over the wire).
     Distribute,
 }
 

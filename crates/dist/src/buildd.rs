@@ -515,13 +515,6 @@ impl BuilddClient {
         }
     }
 
-    pub fn with_transport(http: DistClient) -> Self {
-        BuilddClient {
-            http,
-            poll_interval: Duration::from_millis(50),
-        }
-    }
-
     pub fn addr(&self) -> &str {
         self.http.addr()
     }

@@ -40,7 +40,7 @@
 //! never wedge the reactor.
 
 use crate::http::{BodySource, HttpAction, HttpHandler, HttpOptions, STREAM_CHUNK};
-use crate::poller::{sendfile, Poller, Waker};
+use crate::poller::{sendfile, set_backlog, Poller, Waker};
 use crate::wire::{self, RequestParser};
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -203,6 +203,7 @@ pub fn serve_loop<H: HttpHandler>(
     opts: &HttpOptions,
 ) -> io::Result<LoopServer> {
     listener.set_nonblocking(true)?;
+    set_backlog(listener.as_raw_fd(), opts.backlog)?;
     let addr = listener.local_addr()?;
     let n = opts.threads.max(1);
     let prefix = handler.metrics_prefix();

@@ -33,7 +33,7 @@
 
 use crate::wire::{self, Request, Response};
 use bytes::Bytes;
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,7 +50,8 @@ pub const STREAM_CHUNK: usize = 256 * 1024;
 pub struct HttpOptions {
     /// Event loop threads (loop engine) or worker threads (pool engine).
     pub threads: usize,
-    /// Listen backlog (pool engine: also the accept→worker queue depth).
+    /// Accept-queue depth: the listen backlog (loop engine; the kernel
+    /// caps it at `somaxconn`) or the accept→worker queue (pool engine).
     pub backlog: usize,
     /// Per-connection read deadline (idle keep-alive or stalled upload).
     pub read_timeout: Duration,
@@ -311,7 +312,7 @@ fn write_body_source(w: &mut impl Write, source: &BodySource) -> io::Result<u64>
 /// The keep-alive loop: read requests until close/timeout/error, route
 /// each through the handler, account bytes and latency per endpoint.
 fn handle_connection<H: HttpHandler>(
-    stream: TcpStream,
+    mut stream: TcpStream,
     handler: &H,
     read_timeout: Duration,
     write_timeout: Duration,
@@ -324,11 +325,11 @@ fn handle_connection<H: HttpHandler>(
         Ok(s) => s,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
+    let mut parser = wire::RequestParser::new(max_body);
     let obs = comt_observe::global();
     let prefix = handler.metrics_prefix();
     loop {
-        let req = match wire::read_request(&mut reader, max_body) {
+        let req = match parser.read_from(&mut stream) {
             Ok(Some(req)) => req,
             // Clean close, timeout, or a killed upload: any staged request
             // body is discarded with the error — nothing was published.
@@ -371,5 +372,118 @@ fn handle_connection<H: HttpHandler>(
         if close {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{read_response_into, write_request};
+    use std::io::BufReader;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Echoes `METHOD PATH BODY`, except `/truncate`, which lies about its
+    /// body length; counts every request it routes.
+    #[derive(Default)]
+    struct Echo {
+        handled: AtomicUsize,
+    }
+
+    impl HttpHandler for Echo {
+        fn metrics_prefix(&self) -> &'static str {
+            "test.pool"
+        }
+
+        fn handle(&self, req: &Request) -> (&'static str, HttpAction) {
+            self.handled.fetch_add(1, Ordering::SeqCst);
+            if req.path == "/truncate" {
+                let resp = Response::new(200).with_body(vec![b'x'; 100]);
+                return ("truncate", HttpAction::RespondTruncated(resp, 10));
+            }
+            let mut body = format!("{} {} ", req.method, req.path).into_bytes();
+            body.extend_from_slice(&req.body);
+            ("echo", HttpAction::Respond(Response::new(200).with_body(body)))
+        }
+    }
+
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let s = TcpStream::connect(addr).unwrap();
+        let r = BufReader::new(s.try_clone().unwrap());
+        (s, r)
+    }
+
+    fn get(w: &mut TcpStream, path: &str, headers: &[(String, String)]) {
+        write_request(w, "GET", path, headers, None, false).unwrap();
+    }
+
+    fn body(r: &mut BufReader<TcpStream>) -> String {
+        let mut sink = Vec::new();
+        let (status, _) = read_response_into(r, &mut sink, 1 << 20).unwrap();
+        assert_eq!(status, 200);
+        String::from_utf8(sink).unwrap()
+    }
+
+    fn at_eof(r: &mut BufReader<TcpStream>) -> bool {
+        matches!(r.read(&mut [0u8; 1]), Ok(0) | Err(_))
+    }
+
+    #[test]
+    fn pool_engine_serves_keepalive_chunked_pipelined_and_refusals() {
+        let handler = Arc::new(Echo::default());
+        let opts = HttpOptions {
+            threads: 2,
+            max_body: 1024,
+            ..Default::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = serve_pool(Arc::clone(&handler), listener, &opts).unwrap();
+        let addr = server.addr;
+
+        // Two keep-alive requests, then a multi-chunk PUT, on one
+        // connection.
+        let (mut w, mut r) = connect(addr);
+        get(&mut w, "/a", &[]);
+        assert_eq!(body(&mut r), "GET /a ");
+        get(&mut w, "/b", &[]);
+        assert_eq!(body(&mut r), "GET /b ");
+        w.write_all(
+            b"PUT /c HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+              5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n",
+        )
+        .unwrap();
+        assert_eq!(body(&mut r), "PUT /c hello world");
+
+        // Two pipelined requests in one write answer in order.
+        let mut both = Vec::new();
+        write_request(&mut both, "GET", "/p1", &[], None, false).unwrap();
+        write_request(&mut both, "PUT", "/p2", &[], Some(b"xy"), false).unwrap();
+        w.write_all(&both).unwrap();
+        assert_eq!(body(&mut r), "GET /p1 ");
+        assert_eq!(body(&mut r), "PUT /p2 xy");
+
+        // `Connection: close` is answered, then the line drops.
+        get(&mut w, "/bye", &[("Connection".into(), "close".into())]);
+        assert_eq!(body(&mut r), "GET /bye ");
+        assert!(at_eof(&mut r));
+        assert_eq!(handler.handled.load(Ordering::SeqCst), 6);
+
+        // A truncated response sends its advertised prefix and drops the
+        // line.
+        let (mut w, mut r) = connect(addr);
+        get(&mut w, "/truncate", &[]);
+        let mut sink = Vec::new();
+        let err = read_response_into(&mut r, &mut sink, 1 << 20).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(sink, vec![b'x'; 10]);
+        assert!(at_eof(&mut r));
+        assert_eq!(handler.handled.load(Ordering::SeqCst), 7);
+
+        // A body over `max_body` is refused before the handler sees it.
+        let (mut w, mut r) = connect(addr);
+        let _ = write_request(&mut w, "PUT", "/big", &[], Some(&[7u8; 4096]), false);
+        assert!(read_response_into(&mut r, &mut Vec::new(), 1 << 20).is_err());
+        assert_eq!(handler.handled.load(Ordering::SeqCst), 7);
+
+        server.shutdown();
     }
 }

@@ -47,8 +47,9 @@ pub use server::{serve, Chaos, DistServer, ServerOptions};
 pub const MEDIA_TYPE_MANIFEST: &str = "application/vnd.oci.image.manifest.v1+json";
 
 /// The registry-side tag for a `(repository, reference)` pair. The wire
-/// addresses images as `/v2/<name>/manifests/<reference>`; the backing
-/// [`comt_oci::Registry`] keys tags by this composite string.
+/// addresses images as `/v2/<name>/manifests/<reference>`; every backend
+/// stores the tag under this composite string as an index ref name, and
+/// [`comt_oci::ImageIndex::resolve_key`] resolves it.
 pub fn tag_key(name: &str, reference: &str) -> String {
     format!("{name}:{reference}")
 }
@@ -197,7 +198,7 @@ mod tests {
         assert!(DistError::protocol("x").is_retryable());
         assert!(DistError::status("x", 503, b"").is_retryable());
         assert!(!DistError::status("x", 404, b"").is_retryable());
-        assert!(!DistError::Registry(comt_oci::RegistryError::UnknownTag("t".into()))
+        assert!(!DistError::Registry(comt_oci::RegistryError::MissingBlob("t".into()))
             .is_retryable());
         let dm = DistError::DigestMismatch {
             expected: "a".into(),

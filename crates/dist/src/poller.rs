@@ -1,10 +1,11 @@
 //! A minimal readiness poller over raw Linux syscalls — no `libc`, no
 //! external crates.
 //!
-//! The event-driven serve path ([`crate::eventloop`]) needs exactly four
+//! The event-driven serve path ([`crate::eventloop`]) needs exactly five
 //! kernel facilities: `epoll` (readiness), `eventfd` (cross-thread wake),
-//! `sendfile` (zero-copy file→socket), and nonblocking sockets (which
-//! `std::net` already exposes). The first three have no `std` surface, so
+//! `sendfile` (zero-copy file→socket), `listen` with a chosen backlog, and
+//! nonblocking sockets (which `std::net` already exposes). The first four
+//! have no `std` surface, so
 //! this module invokes them directly via the architecture's syscall
 //! instruction (`syscall` on x86_64, `svc 0` on aarch64) behind a typed
 //! [`Poller`]/[`Waker`] API.
@@ -45,6 +46,7 @@ mod imp {
         pub const EVENTFD2: usize = 290;
         pub const EPOLL_CREATE1: usize = 291;
         pub const SENDFILE: usize = 40;
+        pub const LISTEN: usize = 50;
     }
     #[cfg(target_arch = "aarch64")]
     mod nr {
@@ -53,6 +55,7 @@ mod imp {
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
         pub const SENDFILE: usize = 71;
+        pub const LISTEN: usize = 201;
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -292,6 +295,14 @@ mod imp {
         *offset = off as u64;
         Ok(n)
     }
+
+    /// Re-`listen` a bound listener with an explicit accept-queue depth
+    /// (`std` always asks for 128). The kernel caps it at `somaxconn`.
+    pub fn set_backlog(fd: RawFd, backlog: usize) -> io::Result<()> {
+        let backlog = backlog.min(i32::MAX as usize);
+        let ret = unsafe { syscall6(nr::LISTEN, fd as usize, backlog, 0, 0, 0, 0) };
+        check(ret).map(|_| ())
+    }
 }
 
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
@@ -346,9 +357,13 @@ mod imp {
     pub fn sendfile(_: RawFd, _: RawFd, _: &mut u64, _: usize) -> io::Result<usize> {
         unsupported()
     }
+
+    pub fn set_backlog(_: RawFd, _: usize) -> io::Result<()> {
+        unsupported()
+    }
 }
 
-pub use imp::{sendfile, Poller, Waker};
+pub use imp::{sendfile, set_backlog, Poller, Waker};
 
 #[cfg(all(test, target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod tests {
@@ -388,6 +403,28 @@ mod tests {
     }
 
     #[test]
+    fn set_backlog_deepens_the_accept_queue() {
+        // `std` listens with a backlog of 128; past it the kernel drops
+        // SYNs, so connect number 130 of an unaccepted burst would stall
+        // for a full SYN retransmit. With the backlog raised, every
+        // connect of a larger burst completes at once. The kernel caps
+        // the backlog at `somaxconn`, so the burst stays under it.
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .unwrap_or(4096);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        set_backlog(listener.as_raw_fd(), 512).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let _clients: Vec<TcpStream> = (0..somaxconn.min(200))
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i} past the backlog: {e}"))
+            })
+            .collect();
+    }
+
+    #[test]
     fn waker_wakes_and_drains() {
         let poller = Poller::new().unwrap();
         let waker = Waker::new().unwrap();
@@ -402,12 +439,14 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
         assert!(events.iter().any(|e| e.token == 1 && e.readable));
+        // Both wakes must have landed before the drain, or the second
+        // could re-arm the eventfd after it.
+        handle.join().unwrap();
         waker.drain();
         // Drained: no longer readable.
         let mut events = Vec::new();
         poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
         assert!(events.iter().all(|e| e.token != 1));
-        handle.join().unwrap();
     }
 
     #[test]

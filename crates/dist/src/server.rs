@@ -14,7 +14,7 @@
 //! ## Backends
 //!
 //! The daemon is generic over [`RegistryBackend`]: the in-memory
-//! [`Registry`] (tests, benches) and the crash-safe [`comt_oci::DiskRegistry`]
+//! [`OciDir`] (tests, benches) and the crash-safe [`comt_oci::DiskRegistry`]
 //! (`comt serve` on a real layout, each blob and tag committed durably at
 //! publish time) serve through identical protocol code.
 //!
@@ -34,7 +34,8 @@ use crate::http::{serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, 
 use crate::wire::{self, Request, Response};
 use crate::{tag_key, MEDIA_TYPE_MANIFEST};
 use comt_digest::Digest;
-use comt_oci::store::{closure_digests, Registry, RegistryError};
+use comt_oci::layout::OciDir;
+use comt_oci::store::RegistryError;
 use comt_oci::{BlobHandle, RegistryBackend};
 use std::collections::HashSet;
 use std::io;
@@ -63,7 +64,7 @@ pub struct Chaos {
 pub struct ServerOptions {
     /// Worker threads handling connections (the pool bound).
     pub threads: usize,
-    /// Pending-connection queue depth between acceptor and workers.
+    /// Pending-connection queue depth (see [`HttpOptions::backlog`]).
     pub backlog: usize,
     /// Per-connection socket read deadline.
     pub read_timeout: Duration,
@@ -144,8 +145,8 @@ impl<R: RegistryBackend> HttpHandler for RegistryHandler<R> {
 /// A running daemon. Dropping it without [`DistServer::shutdown`] stops
 /// accepting but does not join workers; call `shutdown` for a clean stop
 /// that hands the backend (with everything pushed to it) back. The type
-/// parameter defaults to the in-memory [`Registry`].
-pub struct DistServer<R: RegistryBackend = Registry> {
+/// parameter defaults to the in-memory [`OciDir`].
+pub struct DistServer<R: RegistryBackend = OciDir> {
     http: HttpServer,
     state: Arc<RegistryHandler<R>>,
 }
@@ -525,7 +526,7 @@ fn manifest_get<R: RegistryBackend>(
     let key = tag_key(name, reference);
     let (digest, handle) = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        match reg.resolve(&key) {
+        match reg.index().resolve_key(&key) {
             Some(d) => match reg.blob_handle(&d) {
                 Some(h) => (d, h),
                 None => return not_found(),
@@ -596,7 +597,8 @@ fn chunkmap_get<R: RegistryBackend>(
     let obs = comt_observe::global();
     let found = {
         let reg = state.registry.lock().unwrap_or_else(|e| e.into_inner());
-        reg.chunkmap_for(&layer)
+        reg.index()
+            .chunkmap_for(&layer)
             .and_then(|md| reg.blob_handle(&md).map(|h| (md, h)))
     };
     let Some((map_digest, handle)) = found else {
@@ -685,10 +687,4 @@ fn registry_failure(op: &str, e: RegistryError) -> HttpAction {
         }
         other => bad_request(format!("{op}: {other}")),
     }
-}
-
-/// Closure digests for a tagged manifest on this server — test/CLI helper.
-pub fn registry_closure(reg: &Registry, tag: &str) -> Option<Vec<Digest>> {
-    let md = reg.resolve(tag)?;
-    closure_digests(reg.store(), &md).ok()
 }

@@ -8,13 +8,16 @@
 //! [`MAX_HEADER_BYTES`], bodies at a caller-supplied limit, so a
 //! misbehaving peer cannot balloon memory.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Cap on the request/status line plus all headers.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// Chunk size the client uses for chunked blob uploads.
 pub const UPLOAD_CHUNK: usize = 64 * 1024;
+
+/// Most bytes [`RequestParser::read_from`] asks the socket for per read.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// A parsed HTTP request (server side of the wire).
 #[derive(Debug, Clone)]
@@ -170,69 +173,6 @@ fn read_chunked(r: &mut impl BufRead, max_body: usize) -> io::Result<Vec<u8>> {
     }
 }
 
-/// Read the message body described by `headers`.
-fn read_body(
-    r: &mut impl BufRead,
-    headers: &[(String, String)],
-    max_body: usize,
-) -> io::Result<Vec<u8>> {
-    if find_header(headers, "transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-    {
-        return read_chunked(r, max_body);
-    }
-    let len = match find_header(headers, "content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?,
-        None => return Ok(Vec::new()),
-    };
-    if len > max_body {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("body of {len} bytes exceeds limit {max_body}"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(body)
-}
-
-/// Read one request off the wire. `Ok(None)` means the peer closed the
-/// connection cleanly before sending another request (keep-alive end).
-pub fn read_request(r: &mut impl BufRead, max_body: usize) -> io::Result<Option<Request>> {
-    let mut budget = MAX_HEADER_BYTES;
-    let start = match read_line(r, &mut budget) {
-        Ok(line) => line,
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut parts = start.split_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m, p, v),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed request line: {start}"),
-            ))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported version: {version}"),
-        ));
-    }
-    let headers = read_headers(r, &mut budget)?;
-    let body = read_body(r, &headers, max_body)?;
-    Ok(Some(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        headers,
-        body,
-    }))
-}
-
 /// Serialize a request. A `Some(body)` with `chunked = true` goes out as
 /// chunked transfer-encoding in [`UPLOAD_CHUNK`]-sized pieces; otherwise
 /// `Content-Length` framing is used.
@@ -351,12 +291,13 @@ pub fn read_response_into(
 
 /// Incremental request parser for the nonblocking serve path.
 ///
-/// The event loop feeds whatever bytes the socket had; the parser consumes
-/// them through the same grammar as [`read_request`] (request line,
-/// headers, `Content-Length` or chunked bodies, shared header/body
-/// budgets) without ever blocking or re-scanning already-seen bytes.
-/// Bytes past a complete request stay buffered for the next keep-alive
-/// round.
+/// The one request parser of both serve engines. The event loop feeds
+/// whatever bytes the socket had; the pool engine drives it from a
+/// blocking read loop ([`RequestParser::read_from`]). Either way it
+/// consumes the request line, headers, and `Content-Length` or chunked
+/// bodies under shared header/body budgets, without re-scanning
+/// already-seen bytes. Bytes past a complete request stay buffered for
+/// the next keep-alive round.
 #[derive(Debug)]
 pub struct RequestParser {
     max_body: usize,
@@ -418,6 +359,11 @@ impl RequestParser {
     /// the peer violated the protocol; the connection should be dropped.
     pub fn feed(&mut self, data: &[u8]) -> io::Result<Option<Request>> {
         self.buf.extend_from_slice(data);
+        self.parse()
+    }
+
+    /// Try to complete a request from the bytes already buffered.
+    fn parse(&mut self) -> io::Result<Option<Request>> {
         loop {
             match std::mem::replace(&mut self.phase, Phase::Head) {
                 Phase::Head => {
@@ -529,6 +475,38 @@ impl RequestParser {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Blocking driver: return the next request, reading from `r` straight
+    /// into the parser's buffer only when it holds no complete request (so
+    /// pipelined requests are served before the next read). `Ok(None)`
+    /// means the peer closed cleanly between requests; a close mid-request
+    /// is an [`io::ErrorKind::UnexpectedEof`] error.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<Option<Request>> {
+        loop {
+            if let Some(req) = self.parse()? {
+                return Ok(Some(req));
+            }
+            let filled = self.buf.len();
+            self.buf.resize(filled + READ_CHUNK, 0);
+            let n = match r.read(&mut self.buf[filled..]) {
+                Ok(n) => n,
+                Err(e) => {
+                    self.buf.truncate(filled);
+                    return Err(e);
+                }
+            };
+            self.buf.truncate(filled + n);
+            if n == 0 {
+                if self.buf.is_empty() && matches!(self.phase, Phase::Head) {
+                    return Ok(None);
+                }
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "peer closed mid-request",
+                ));
             }
         }
     }
@@ -646,6 +624,24 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// A reader that hands out at most 1000 bytes per read.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(1000);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Parse one request off `wire` through the blocking driver, reading
+    /// in small pieces so every request spans several reads.
+    fn parse_request(wire: &[u8], max_body: usize) -> io::Result<Option<Request>> {
+        RequestParser::new(max_body).read_from(&mut Trickle(wire))
+    }
+
     fn roundtrip_request(body: Option<&[u8]>, chunked: bool) -> Request {
         let mut wire = Vec::new();
         write_request(
@@ -657,8 +653,7 @@ mod tests {
             chunked,
         )
         .unwrap();
-        let mut r = BufReader::new(&wire[..]);
-        read_request(&mut r, 1 << 20).unwrap().unwrap()
+        parse_request(&wire, 1 << 20).unwrap().unwrap()
     }
 
     #[test]
@@ -713,21 +708,32 @@ mod tests {
     fn body_limit_enforced() {
         let mut wire = Vec::new();
         write_request(&mut wire, "PUT", "/x", &[], Some(&[1u8; 4096]), false).unwrap();
-        let err = read_request(&mut BufReader::new(&wire[..]), 1024).expect_err("over limit");
+        let err = parse_request(&wire, 1024).expect_err("over limit");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         let mut wire = Vec::new();
         write_request(&mut wire, "PUT", "/x", &[], Some(&[1u8; 4096]), true).unwrap();
-        let err = read_request(&mut BufReader::new(&wire[..]), 1024).expect_err("over limit");
+        let err = parse_request(&wire, 1024).expect_err("over limit");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn clean_eof_is_none() {
         let empty: &[u8] = b"";
-        assert!(read_request(&mut BufReader::new(empty), 1024)
-            .unwrap()
-            .is_none());
+        assert!(parse_request(empty, 1024).unwrap().is_none());
+    }
+
+    #[test]
+    fn eof_mid_request_is_an_error() {
+        let mut wire = Vec::new();
+        write_request(&mut wire, "PUT", "/x", &[], Some(&[1u8; 64]), false).unwrap();
+        // Cut inside the head, right after the head (body not begun), and
+        // inside the body: each is a killed request, never a clean close.
+        let head_end = wire.len() - 64;
+        for cut in [5, head_end, head_end + 10] {
+            let err = parse_request(&wire[..cut], 1024).expect_err("truncated request");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
     }
 
     #[test]

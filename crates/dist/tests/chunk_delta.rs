@@ -10,8 +10,9 @@ use bytes::Bytes;
 use comt_chunk::ChunkParams;
 use comt_digest::Digest;
 use comt_dist::{serve, Chaos, DistClient, PullOptions, RetryPolicy, ServerOptions};
+use comt_oci::layout::OciDir;
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, ImageManifest, Registry};
+use comt_oci::{BlobStore, ImageBuilder, ImageManifest};
 use comt_vfs::Vfs;
 use std::sync::{Mutex, MutexGuard};
 
@@ -59,7 +60,7 @@ fn layer_digests(store: &BlobStore, md: &Digest) -> Vec<(Digest, u64)> {
 }
 
 fn start_server(opts: ServerOptions) -> comt_dist::DistServer {
-    serve(Registry::new(), "127.0.0.1:0", opts).expect("bind loopback")
+    serve(OciDir::new(), "127.0.0.1:0", opts).expect("bind loopback")
 }
 
 /// Two versions of the image: v2 differs from v1 by one small in-place

@@ -6,8 +6,9 @@ use comt_digest::Digest;
 use comt_dist::{
     serve, split_ref, tag_key, Chaos, DistClient, DistError, RetryPolicy, ServerOptions,
 };
+use comt_oci::layout::OciDir;
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, ImageBuilder, Registry};
+use comt_oci::{BlobStore, ImageBuilder, RegistryBackend};
 use comt_vfs::Vfs;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -26,7 +27,7 @@ fn sample_image(store: &mut BlobStore, payload: &[u8]) -> Digest {
 }
 
 fn start_server(opts: ServerOptions) -> comt_dist::DistServer {
-    serve(Registry::new(), "127.0.0.1:0", opts).expect("bind loopback")
+    serve(OciDir::new(), "127.0.0.1:0", opts).expect("bind loopback")
 }
 
 #[test]
@@ -51,7 +52,7 @@ fn push_pull_roundtrip_bit_identical() {
     }
 
     let reg = server.shutdown();
-    assert_eq!(reg.resolve(&tag_key("app", "v1")), Some(md));
+    assert_eq!(reg.index.resolve_key(&tag_key("app", "v1")), Some(md));
 }
 
 #[test]
@@ -147,8 +148,8 @@ fn truncated_upload_never_becomes_visible() {
     assert_eq!(client.head_blob("app", &Digest::of(b"not the blob")).unwrap(), None);
 
     let reg = server.shutdown();
-    assert!(!reg.store().contains(&layer), "staged upload leaked");
-    assert_eq!(reg.store().len(), 0);
+    assert!(!reg.blobs.contains(&layer), "staged upload leaked");
+    assert_eq!(reg.blobs.len(), 0);
 }
 
 #[test]
@@ -172,8 +173,8 @@ fn manifest_put_without_closure_is_rejected_and_invisible() {
     assert!(matches!(err, DistError::Status { status: 404, .. }), "{err}");
 
     let reg = server.shutdown();
-    assert!(reg.resolve(&tag_key("app", "v1")).is_none());
-    assert!(!reg.store().contains(&md), "failed manifest PUT leaked");
+    assert!(reg.index.resolve_key(&tag_key("app", "v1")).is_none());
+    assert!(!reg.blobs.contains(&md), "failed manifest PUT leaked");
 }
 
 #[test]
@@ -197,7 +198,7 @@ fn poisoned_server_blob_never_served() {
 
     // Poison the layer behind the server's back.
     let mut reg = server.shutdown();
-    reg.store_mut()
+    reg.blobs
         .insert_raw_for_tests(layer, Bytes::from_static(b"bitrot"));
     let server = serve(reg, "127.0.0.1:0", ServerOptions::default()).unwrap();
     let client = DistClient::with_policy(
@@ -277,7 +278,7 @@ fn disk_backed_daemon_round_trips_and_survives_restart() {
     // Second daemon lifetime: everything pulls bit-identically.
     {
         let reg = comt_oci::DiskRegistry::open(&dir).unwrap();
-        assert_eq!(reg.resolve(&tag_key("app", "v1")), Some(md));
+        assert_eq!(reg.index().resolve_key(&tag_key("app", "v1")), Some(md));
         let server = serve(reg, "127.0.0.1:0", ServerOptions::default()).unwrap();
         let client = DistClient::new(server.addr().to_string());
         let mut pulled = BlobStore::new();
@@ -321,7 +322,7 @@ fn disk_backed_interrupted_push_is_fsck_clean_and_invisible() {
     // Restart: the tag was never committed, the blobs dedupe, and a full
     // re-push completes the publish.
     let reg = comt_oci::DiskRegistry::open(&dir).unwrap();
-    assert_eq!(reg.resolve(&tag_key("app", "v1")), None);
+    assert_eq!(reg.index().resolve_key(&tag_key("app", "v1")), None);
     let server = serve(reg, "127.0.0.1:0", ServerOptions::default()).unwrap();
     let client = DistClient::new(server.addr().to_string());
     let stats = client.push_image("app", "v1", md, &local).unwrap();

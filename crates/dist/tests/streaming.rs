@@ -190,7 +190,7 @@ fn cache_eviction_and_poison_rejection_visible_in_stats() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Budget 64 KiB → max entry 16 KiB: three 10 KiB blobs fit two at a
     // time, forcing an eviction; a poisoned blob is rejected on admit.
-    let mut reg = comt_oci::Registry::new();
+    let mut reg = comt_oci::layout::OciDir::new();
     let blobs: Vec<(Digest, Bytes)> = (0..3u8)
         .map(|seed| {
             let data: Vec<u8> = (0..10 * 1024).map(|i| seed.wrapping_add((i % 251) as u8)).collect();
@@ -203,7 +203,7 @@ fn cache_eviction_and_poison_rejection_visible_in_stats() {
         reg.put_blob(*d, b.clone()).unwrap();
     }
     let poisoned = Digest::of(b"advertised content");
-    reg.store_mut()
+    reg.blobs
         .insert_raw_for_tests(poisoned, Bytes::from_static(b"bitrot"));
 
     let server = serve(
@@ -255,7 +255,7 @@ fn client_rate_limit_paces_large_downloads() {
     // 1 MiB blob at 1 MiB/s with a 256 KiB burst: the transfer cannot
     // legally finish in under ~700 ms. Assert a conservative floor (and
     // that throttling never corrupts the payload).
-    let mut reg = comt_oci::Registry::new();
+    let mut reg = comt_oci::layout::OciDir::new();
     let data: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
     let blob = Bytes::from(data);
     let d = Digest::of(&blob);

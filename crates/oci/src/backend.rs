@@ -1,9 +1,14 @@
-//! The registry backend abstraction: one wire daemon, two stores.
+//! The registry backend abstraction: one wire daemon, two layouts.
 //!
 //! `comt-dist`'s server is generic over [`RegistryBackend`], so the same
-//! protocol code serves the in-memory [`Registry`] (engine/VFS tests,
-//! benches) and the crash-safe [`DiskRegistry`] (`comt serve` on a real
-//! layout). The trait's contract encodes the durability story:
+//! protocol code serves an in-memory [`crate::layout::OciDir`] (engine/VFS
+//! tests, benches) and the crash-safe [`crate::DiskRegistry`] (`comt
+//! serve` on a real layout) — the two forms of the OCI layout the CLI
+//! already uses. Both keep their tags and chunkmap associations in an
+//! [`ImageIndex`]: a backend supplies only blob storage and the index
+//! commit, and every decision about the index is made once, in the
+//! trait's provided methods and in [`ImageIndex`] itself. The trait's
+//! contract encodes the durability story:
 //!
 //! * [`RegistryBackend::put_blob`] verifies the claimed digest against the
 //!   bytes **in every build profile** and, for disk backends, makes the
@@ -16,8 +21,8 @@
 //!   can drop its lock before the expensive part (file read + re-hash)
 //!   happens in [`BlobHandle::read_verified`].
 
-use crate::disk::DiskRegistry;
-use crate::store::{Registry, RegistryError};
+use crate::spec::{Descriptor, ImageIndex, MediaType};
+use crate::store::{closure_of_manifest, RegistryError};
 use bytes::Bytes;
 use comt_digest::{Digest, Sha256};
 use std::io::{Read, Seek, SeekFrom};
@@ -172,13 +177,17 @@ impl Read for BlobReader {
     }
 }
 
-/// Storage behind the wire-protocol daemon.
+/// Storage behind the wire-protocol daemon: a blob store plus the
+/// [`ImageIndex`] that holds its tags and chunkmap associations.
 pub trait RegistryBackend: Send + 'static {
-    /// Manifest digest for a wire tag key (`name:reference`).
-    fn resolve(&self, key: &str) -> Option<Digest>;
+    /// The tag table. Wire keys resolve through
+    /// [`ImageIndex::resolve_key`], chunkmaps through
+    /// [`ImageIndex::chunkmap_for`].
+    fn index(&self) -> &ImageIndex;
 
-    /// Whether a blob is already committed (HEAD dedupe probe).
-    fn contains_blob(&self, digest: &Digest) -> bool;
+    /// Make `next` the tag table — the commit point of every publish
+    /// (an atomic, durable replace for persistent backends).
+    fn commit_index(&mut self, next: ImageIndex) -> Result<(), RegistryError>;
 
     /// Cheap handle to a committed blob, if present.
     fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle>;
@@ -187,124 +196,56 @@ pub trait RegistryBackend: Send + 'static {
     /// for persistent backends). Returns `true` if newly stored.
     fn put_blob(&mut self, digest: Digest, data: Bytes) -> Result<bool, RegistryError>;
 
-    /// Staged manifest publish: verify the closure, commit, expose the tag.
-    fn put_manifest(&mut self, key: &str, manifest: Bytes) -> Result<Digest, RegistryError>;
+    /// Whether a blob is already committed (HEAD dedupe probe).
+    fn contains_blob(&self, digest: &Digest) -> bool {
+        self.blob_handle(digest).is_some()
+    }
 
-    /// Digest of the chunkmap blob recorded for a layer blob, if any.
-    /// Backends without sub-layer dedupe keep the default (`None`), which
-    /// makes every chunkmap GET a 404 and pushes clients onto the full-blob
-    /// fallback path.
-    fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        let _ = layer;
-        None
+    /// Staged manifest publish under a wire tag key: every closure blob
+    /// must already be present and re-hash to its address (one streaming
+    /// pass each) before the manifest blob is stored and the tag appears.
+    /// A rejected publish stores nothing.
+    fn put_manifest(&mut self, key: &str, manifest: Bytes) -> Result<Digest, RegistryError> {
+        let digest = Digest::of(&manifest);
+        for d in closure_of_manifest(&manifest, &digest)?.iter().skip(1) {
+            self.blob_handle(d)
+                .ok_or_else(|| RegistryError::MissingBlob(d.to_string()))?
+                .stream_verified(d)?;
+        }
+        let size = manifest.len() as u64;
+        self.put_blob(digest, manifest)?;
+        let mut next = self.index().clone();
+        next.set_ref(key, Descriptor::new(MediaType::ImageManifest, digest, size));
+        self.commit_index(next)?;
+        Ok(digest)
     }
 
     /// Record `map` as the chunkmap of `layer`, storing its bytes as a
-    /// normal content-addressed blob. The association must survive exactly
-    /// as long as the layer blob does (gc ties their lifetimes together).
+    /// normal content-addressed blob. The layer must already be committed
+    /// — a chunkmap for bytes the registry does not hold could never serve
+    /// a chunk GET. The association lives as long as the layer does (gc
+    /// ties their lifetimes together); a crash between the two steps
+    /// leaves an unreferenced blob for gc, never a torn association.
     fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        let _ = (layer, map);
-        Err(RegistryError::Storage(
-            "this backend does not support chunkmaps".into(),
-        ))
-    }
-
-    /// Committed blob count (startup banner / stats).
-    fn blob_count(&self) -> usize;
-
-    /// Visible tag count (startup banner / stats).
-    fn tag_count(&self) -> usize;
-}
-
-impl RegistryBackend for Registry {
-    fn resolve(&self, key: &str) -> Option<Digest> {
-        Registry::resolve(self, key)
-    }
-
-    fn contains_blob(&self, digest: &Digest) -> bool {
-        self.store().contains(digest)
-    }
-
-    fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle> {
-        self.store().get(digest).map(BlobHandle::Resident)
-    }
-
-    fn put_blob(&mut self, digest: Digest, data: Bytes) -> Result<bool, RegistryError> {
-        let fresh = !self.store().contains(&digest);
-        self.store_mut().put_verified(digest, data)?;
-        Ok(fresh)
-    }
-
-    fn put_manifest(&mut self, key: &str, manifest: Bytes) -> Result<Digest, RegistryError> {
-        self.publish_manifest(key, manifest)
-    }
-
-    fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        Registry::chunkmap_for(self, layer)
-    }
-
-    fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        Registry::put_chunkmap(self, layer, map)
-    }
-
-    fn blob_count(&self) -> usize {
-        self.store().len()
-    }
-
-    fn tag_count(&self) -> usize {
-        self.tags().len()
-    }
-}
-
-impl RegistryBackend for DiskRegistry {
-    fn resolve(&self, key: &str) -> Option<Digest> {
-        DiskRegistry::resolve(self, key)
-    }
-
-    fn contains_blob(&self, digest: &Digest) -> bool {
-        self.store().contains(digest)
-    }
-
-    fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle> {
-        let path = self.store().blob_path(digest);
-        let len = self.store().blob_len(digest)?;
-        Some(BlobHandle::File { path, len })
-    }
-
-    fn put_blob(&mut self, digest: Digest, data: Bytes) -> Result<bool, RegistryError> {
-        self.store().put_blob(&digest, &data).map_err(|e| match e {
-            crate::layout::LayoutError::DigestMismatch { .. } => {
-                RegistryError::DigestMismatch(digest.to_string())
-            }
-            other => RegistryError::Storage(other.to_string()),
-        })
-    }
-
-    fn put_manifest(&mut self, key: &str, manifest: Bytes) -> Result<Digest, RegistryError> {
-        self.publish_manifest(key, manifest)
-    }
-
-    fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        DiskRegistry::chunkmap_for(self, layer)
-    }
-
-    fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        DiskRegistry::put_chunkmap(self, layer, map)
-    }
-
-    fn blob_count(&self) -> usize {
-        self.store().digests().map(|v| v.len()).unwrap_or(0)
-    }
-
-    fn tag_count(&self) -> usize {
-        self.tags().len()
+        if !self.contains_blob(&layer) {
+            return Err(RegistryError::MissingBlob(layer.to_string()));
+        }
+        let digest = Digest::of(&map);
+        let size = map.len() as u64;
+        self.put_blob(digest, map)?;
+        let mut next = self.index().clone();
+        next.set_chunkmap(&layer, Descriptor::new(MediaType::Chunkmap, digest, size));
+        self.commit_index(next)?;
+        Ok(digest)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::BlobStore;
+    use crate::disk::DiskRegistry;
+    use crate::layout::OciDir;
+    use crate::store::{closure_digests, BlobStore};
 
     #[test]
     fn resident_handle_verifies() {
@@ -363,12 +304,11 @@ mod tests {
         // Regression for the put_prehashed debug_assert hole: the backend
         // trust boundary must verify in every build profile. This test is
         // meaningful precisely when run with --release.
-        let mut reg = Registry::new();
+        let mut reg = OciDir::new();
         let claimed = Digest::of(b"what the client promised");
-        let err = RegistryBackend::put_blob(&mut reg, claimed, Bytes::from_static(b"poison"))
-            .unwrap_err();
+        let err = reg.put_blob(claimed, Bytes::from_static(b"poison")).unwrap_err();
         assert!(matches!(err, RegistryError::DigestMismatch(_)));
-        assert!(!reg.store().contains(&claimed));
+        assert!(!reg.blobs.contains(&claimed));
 
         // put_verified is the same boundary on the raw store.
         let mut store = BlobStore::new();
@@ -380,5 +320,72 @@ mod tests {
         let d = Digest::of(&ok);
         assert_eq!(store.put_verified(d, ok.clone()).unwrap(), d);
         assert_eq!(store.get(&d).unwrap(), ok);
+    }
+
+    /// Rewrite a committed blob's bytes behind the backend's back, as bit
+    /// rot or a torn write would.
+    trait Overwrite: RegistryBackend {
+        fn overwrite(&mut self, digest: &Digest, bytes: &[u8]);
+    }
+
+    impl Overwrite for OciDir {
+        fn overwrite(&mut self, digest: &Digest, bytes: &[u8]) {
+            self.blobs
+                .insert_raw_for_tests(*digest, Bytes::copy_from_slice(bytes));
+        }
+    }
+
+    impl Overwrite for DiskRegistry {
+        fn overwrite(&mut self, digest: &Digest, bytes: &[u8]) {
+            std::fs::write(self.store().blob_path(digest), bytes).unwrap();
+        }
+    }
+
+    #[test]
+    fn staged_publish_rejects_without_trace_on_every_backend() {
+        let dir = std::env::temp_dir().join(format!("comt-publish-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let backends: Vec<(&str, Box<dyn Overwrite>)> = vec![
+            ("memory", Box::new(OciDir::new())),
+            ("disk", Box::new(DiskRegistry::open(&dir).unwrap())),
+        ];
+        let mut local = BlobStore::new();
+        let md = crate::ImageBuilder::from_scratch("x86_64")
+            .with_layer_tar(Bytes::from_static(b"layer tar bytes"), "layer")
+            .commit(&mut local)
+            .unwrap()
+            .manifest_digest;
+        let manifest = local.get(&md).unwrap();
+        let closure = closure_digests(&local, &md).unwrap();
+        let (config, layer) = (closure[1], closure[2]);
+        let layer_bytes = local.get(&layer).unwrap();
+
+        for (name, mut reg) in backends {
+            let assert_rejected_without_trace = |reg: &dyn Overwrite| {
+                assert_eq!(reg.index().resolve_key("app:1"), None, "{name}: tag visible");
+                assert!(!reg.contains_blob(&md), "{name}: rejected manifest left behind");
+            };
+
+            // A closure blob was never uploaded.
+            reg.put_blob(config, local.get(&config).unwrap()).unwrap();
+            let err = reg.put_manifest("app:1", manifest.clone()).unwrap_err();
+            assert_eq!(err, RegistryError::MissingBlob(layer.to_string()), "{name}");
+            assert_rejected_without_trace(&*reg);
+
+            // A pre-existing closure blob no longer hashes to its address:
+            // deduplication must not mask it.
+            reg.put_blob(layer, layer_bytes.clone()).unwrap();
+            reg.overwrite(&layer, b"truncated");
+            let err = reg.put_manifest("app:1", manifest.clone()).unwrap_err();
+            assert_eq!(err, RegistryError::DigestMismatch(layer.to_string()), "{name}");
+            assert_rejected_without_trace(&*reg);
+
+            // Once the closure is whole and intact the same publish lands.
+            reg.overwrite(&layer, &layer_bytes);
+            assert_eq!(reg.put_manifest("app:1", manifest.clone()).unwrap(), md, "{name}");
+            assert_eq!(reg.index().resolve_key("app:1"), Some(md), "{name}");
+            assert!(reg.contains_blob(&md), "{name}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -19,8 +19,9 @@
 //! `.comt.lock` in the layout root. The lock dies with the process (even
 //! `kill -9`), so a crashed daemon never wedges the layout.
 
+use crate::backend::{BlobHandle, RegistryBackend};
 use crate::layout::LayoutError;
-use crate::spec::{Descriptor, ImageIndex, MediaType};
+use crate::spec::{ImageIndex, MediaType};
 use crate::store::{closure_of_manifest, RegistryError};
 use bytes::Bytes;
 use comt_digest::Digest;
@@ -336,87 +337,6 @@ impl DiskRegistry {
         &self.store
     }
 
-    pub fn index(&self) -> &ImageIndex {
-        &self.index
-    }
-
-    /// Tag keys served on the wire, sorted.
-    pub fn tags(&self) -> Vec<String> {
-        self.index.ref_names()
-    }
-
-    /// Resolve a wire tag key (`name:reference`). Layout ref names that
-    /// already carry an explicit `:tag` match exactly; a bare ref name
-    /// (`app.dist+coM`) answers to its `latest` reference.
-    pub fn resolve(&self, key: &str) -> Option<Digest> {
-        if let Some(desc) = self.index.find_ref(key) {
-            return desc.parsed_digest().ok();
-        }
-        let bare = key.strip_suffix(":latest")?;
-        self.index.find_ref(bare)?.parsed_digest().ok()
-    }
-
-    /// Stage-and-commit a manifest publish: verify every closure blob is
-    /// already durable and bit-correct (lazy reads, one blob in memory at
-    /// a time), persist the manifest blob, then atomically commit the new
-    /// tag table. A failure at any step leaves the previous tag table and
-    /// all previously committed blobs untouched.
-    pub fn publish_manifest(
-        &mut self,
-        key: &str,
-        manifest: Bytes,
-    ) -> Result<Digest, RegistryError> {
-        let digest = Digest::of(&manifest);
-        let closure = closure_of_manifest(&manifest, &digest)?;
-        for d in closure.iter().skip(1) {
-            match self.store.read_blob(d) {
-                Ok(Some(_)) => {}
-                Ok(None) => return Err(RegistryError::MissingBlob(d.to_string())),
-                Err(LayoutError::DigestMismatch { .. }) => {
-                    return Err(RegistryError::DigestMismatch(d.to_string()))
-                }
-                Err(e) => return Err(storage_err(e)),
-            }
-        }
-        self.store
-            .put_blob(&digest, &manifest)
-            .map_err(storage_err)?;
-        let mut next = self.index.clone();
-        next.set_ref(
-            key,
-            Descriptor::new(MediaType::ImageManifest, digest, manifest.len() as u64),
-        );
-        self.store.commit_index(&next).map_err(storage_err)?;
-        self.index = next;
-        Ok(digest)
-    }
-
-    /// Chunkmap blob digest recorded for a layer blob, if any.
-    pub fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        self.index.chunkmap_for(layer)?.parsed_digest().ok()
-    }
-
-    /// Persist `map` as the chunkmap of `layer`: commit the map bytes as a
-    /// normal blob, then atomically flip the index with the association
-    /// descriptor. Crash-safe like every other mutation — a kill between
-    /// the two steps leaves an unreferenced blob for gc, never a torn
-    /// association.
-    pub fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        if !self.store.contains(&layer) {
-            return Err(RegistryError::MissingBlob(layer.to_string()));
-        }
-        let digest = Digest::of(&map);
-        self.store.put_blob(&digest, &map).map_err(storage_err)?;
-        let mut next = self.index.clone();
-        next.set_chunkmap(
-            &layer,
-            Descriptor::new(MediaType::Chunkmap, digest, map.len() as u64),
-        );
-        self.store.commit_index(&next).map_err(storage_err)?;
-        self.index = next;
-        Ok(digest)
-    }
-
     /// Digests reachable from any index ref. Walks each ref's manifest
     /// closure lazily — only manifest blobs are read (and verified); layer
     /// and config blobs are never loaded. A broken ref (missing/corrupt
@@ -487,8 +407,7 @@ impl DiskRegistry {
                 d.media_type != MediaType::Chunkmap
                     || d.parsed_digest().map(|m| live.contains(&m)).unwrap_or(false)
             });
-            self.store.commit_index(&next).map_err(storage_err)?;
-            self.index = next;
+            self.commit_index(next)?;
         }
         let (dead, bytes) = self.gc_plan()?;
         let mut removed = 0usize;
@@ -501,9 +420,41 @@ impl DiskRegistry {
     }
 }
 
+/// Every index commit is an atomic, durable `index.json` replace; blobs
+/// stream lazily off their files.
+impl RegistryBackend for DiskRegistry {
+    fn index(&self) -> &ImageIndex {
+        &self.index
+    }
+
+    fn commit_index(&mut self, next: ImageIndex) -> Result<(), RegistryError> {
+        self.store.commit_index(&next).map_err(storage_err)?;
+        self.index = next;
+        Ok(())
+    }
+
+    fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle> {
+        let len = self.store.blob_len(digest)?;
+        Some(BlobHandle::File {
+            path: self.store.blob_path(digest),
+            len,
+        })
+    }
+
+    fn put_blob(&mut self, digest: Digest, data: Bytes) -> Result<bool, RegistryError> {
+        self.store.put_blob(&digest, &data).map_err(|e| match e {
+            LayoutError::DigestMismatch { .. } => {
+                RegistryError::DigestMismatch(digest.to_string())
+            }
+            other => RegistryError::Storage(other.to_string()),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Descriptor;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -594,7 +545,7 @@ mod tests {
                 reg.store().put_blob(d, data).unwrap();
             }
             let manifest = blobs.get(&image.manifest_digest).unwrap();
-            reg.publish_manifest("app:1", manifest).unwrap();
+            reg.put_manifest("app:1", manifest).unwrap();
             // Plus one blob nothing references.
             let orphan = Bytes::from_static(b"unreferenced bytes");
             let od = Digest::of(&orphan);
@@ -607,7 +558,7 @@ mod tests {
             assert_eq!((removed, reclaimed), (1, orphan.len() as u64));
             assert!(!reg.store().contains(&od));
             // Everything live survived and the tag still resolves.
-            assert_eq!(reg.resolve("app:1"), Some(image.manifest_digest));
+            assert_eq!(reg.index().resolve_key("app:1"), Some(image.manifest_digest));
             let (dead, _) = reg.gc_plan().unwrap();
             assert!(dead.is_empty());
         }
@@ -629,7 +580,7 @@ mod tests {
                 reg.store().put_blob(d, data).unwrap();
             }
             let manifest = blobs.get(&image.manifest_digest).unwrap();
-            reg.publish_manifest("app:1", manifest).unwrap();
+            reg.put_manifest("app:1", manifest).unwrap();
 
             let layer = image.manifest.layers[0].parsed_digest().unwrap();
             let layer_blob = reg.store().read_blob(&layer).unwrap().unwrap();
@@ -638,7 +589,7 @@ mod tests {
             let map_digest = reg
                 .put_chunkmap(layer, Bytes::from(map.to_json()))
                 .unwrap();
-            assert_eq!(reg.chunkmap_for(&layer), Some(map_digest));
+            assert_eq!(reg.index().chunkmap_for(&layer), Some(map_digest));
 
             // A chunkmap for a blob the store does not hold is refused.
             assert!(matches!(
@@ -653,21 +604,88 @@ mod tests {
             // Survives reopen (the association is in the committed index).
             drop(reg);
             let mut reg = DiskRegistry::open(&dir).unwrap();
-            assert_eq!(reg.chunkmap_for(&layer), Some(map_digest));
+            assert_eq!(reg.index().chunkmap_for(&layer), Some(map_digest));
 
             // Drop the ref: the layer dies, and the chunkmap must die with
             // it — blob swept, association gone from the index.
             let mut next = reg.index().clone();
             assert!(next.remove_ref("app:1"));
-            reg.store.commit_index(&next).unwrap();
-            reg.index = next;
+            reg.commit_index(next).unwrap();
             let (dead, _) = reg.gc_plan().unwrap();
             assert!(dead.contains(&map_digest), "orphan chunkmap not planned");
             let (removed, _) = reg.gc_apply().unwrap();
             assert!(removed >= 4); // manifest + config + layer + chunkmap
             assert!(!reg.store().contains(&map_digest));
-            assert_eq!(reg.chunkmap_for(&layer), None);
+            assert_eq!(reg.index().chunkmap_for(&layer), None);
             assert!(reg.index().chunkmap_entries().next().is_none());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gc_refcounts_shared_layers_across_two_tags() {
+        // Two tags sharing a base layer: dropping one tag must prune only
+        // the blobs unique to it; the shared layer survives because the
+        // other tag still reaches it (reachability is the refcount).
+        let dir = tmp_dir("refcount");
+        {
+            let mut store = crate::store::BlobStore::new();
+            let mut base_fs = comt_vfs::Vfs::new();
+            base_fs
+                .write_file_p("/lib/libm.so", Bytes::from_static(b"MATH"), 0o644)
+                .unwrap();
+            let base = crate::ImageBuilder::from_scratch("x86_64")
+                .with_layer_from_fs(&comt_vfs::Vfs::new(), &base_fs)
+                .commit(&mut store)
+                .unwrap();
+            let mut app_fs = base_fs.clone();
+            app_fs
+                .write_file_p("/app/run", Bytes::from_static(b"ELF"), 0o755)
+                .unwrap();
+            let app = crate::ImageBuilder::from_base(&store, &base)
+                .unwrap()
+                .with_layer_from_fs(&base_fs, &app_fs)
+                .commit(&mut store)
+                .unwrap();
+            let shared_layer = base.manifest.layers[0].parsed_digest().unwrap();
+            let app_only_layer = app.manifest.layers[1].parsed_digest().unwrap();
+
+            let mut reg = DiskRegistry::open(&dir).unwrap();
+            for (d, data) in store.iter() {
+                reg.put_blob(*d, data.clone()).unwrap();
+            }
+            for (tag, image) in [("base:1", &base), ("app:1", &app)] {
+                let manifest = store.get(&image.manifest_digest).unwrap();
+                reg.put_manifest(tag, manifest).unwrap();
+            }
+
+            // Both tags present: nothing is collectable.
+            let (dead, bytes) = reg.gc_plan().unwrap();
+            assert!(dead.is_empty(), "{dead:?}");
+            assert_eq!(bytes, 0);
+
+            // Drop the app tag: exactly its manifest, config and unique
+            // layer become unreachable; the shared base layer must NOT be
+            // listed.
+            let mut next = reg.index().clone();
+            assert!(next.remove_ref("app:1"));
+            reg.commit_index(next).unwrap();
+            let (dead, bytes) = reg.gc_plan().unwrap();
+            assert_eq!(dead.len(), 3, "{dead:?}");
+            assert!(dead.contains(&app.manifest_digest));
+            assert!(dead.contains(&app_only_layer));
+            assert!(!dead.contains(&shared_layer));
+            assert!(bytes > 0);
+
+            // Apply: the plan and the deletion agree, and the surviving
+            // tag still loads and flattens.
+            assert_eq!(reg.gc_apply().unwrap(), (3, bytes));
+            assert!(reg.store().contains(&shared_layer));
+            assert!(!reg.store().contains(&app_only_layer));
+            drop(reg);
+            let oci = crate::layout::OciDir::load(&dir).unwrap();
+            let img = oci.load_image("base:1").unwrap();
+            assert_eq!(crate::flatten(&oci.blobs, &img).unwrap(), base_fs);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -471,6 +471,7 @@ pub const FSCK_CODES: &[(&str, &str, &str)] = &[
 mod tests {
     use super::*;
     use crate::layout::OciDir;
+    use crate::RegistryBackend;
     use crate::store::BlobStore;
     use crate::ImageBuilder;
     use bytes::Bytes;

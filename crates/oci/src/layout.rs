@@ -13,15 +13,18 @@
 //! blobs/sha256/<hex>  # content-addressed blobs
 //! ```
 
+use crate::backend::{BlobHandle, RegistryBackend};
 use crate::spec::{Descriptor, ImageIndex, MediaType};
-use crate::store::BlobStore;
+use crate::store::{closure_digests, BlobStore, RegistryError};
 use bytes::Bytes;
 use comt_digest::Digest;
 use std::fmt;
 use std::io;
 use std::path::Path;
 
-/// An OCI layout held in memory: the unit mounted at `/.coMtainer/io`.
+/// An OCI layout held in memory: the unit mounted at `/.coMtainer/io`,
+/// and the in-memory [`RegistryBackend`] the wire daemon serves in tests
+/// and benches.
 #[derive(Debug, Clone, Default)]
 pub struct OciDir {
     pub index: ImageIndex,
@@ -96,32 +99,16 @@ impl OciDir {
         manifest_digest: Digest,
         src: &BlobStore,
     ) -> Result<(), LayoutError> {
-        let raw = src
-            .get(&manifest_digest)
-            .ok_or_else(|| LayoutError::BadDigest(manifest_digest.to_string()))?;
-        let manifest: crate::spec::ImageManifest =
-            serde_json::from_slice(&raw).map_err(|e| LayoutError::BadJson(e.to_string()))?;
-
-        let mut needed = vec![manifest_digest];
-        needed.push(
-            manifest
-                .config
-                .parsed_digest()
-                .map_err(|e| LayoutError::BadDigest(e.to_string()))?,
-        );
-        for l in &manifest.layers {
-            needed.push(
-                l.parsed_digest()
-                    .map_err(|e| LayoutError::BadDigest(e.to_string()))?,
-            );
-        }
-        for d in needed {
-            if !self.blobs.fetch_from(src, &d) {
+        let closure = closure_digests(src, &manifest_digest).map_err(|e| match e {
+            RegistryError::MissingBlob(d) => LayoutError::BadDigest(d),
+            other => LayoutError::BadJson(other.to_string()),
+        })?;
+        for d in &closure {
+            if !self.blobs.fetch_from(src, d) {
                 return Err(LayoutError::BadDigest(d.to_string()));
             }
         }
-
-        let size = raw.len() as u64;
+        let size = self.blobs.get(&manifest_digest).map_or(0, |m| m.len() as u64);
         self.index.set_ref(
             name,
             Descriptor::new(MediaType::ImageManifest, manifest_digest, size),
@@ -143,72 +130,6 @@ impl OciDir {
     pub fn load_image(&self, name: &str) -> Result<crate::Image, LayoutError> {
         let d = self.resolve(name)?;
         crate::Image::load(&self.blobs, d).map_err(|e| LayoutError::BadJson(e.to_string()))
-    }
-
-    /// Digests reachable from any indexed manifest (the union of every
-    /// tagged closure). A blob referenced by two tags is naturally kept
-    /// alive by either — reachability is the refcount.
-    fn live_set(&self) -> std::collections::BTreeSet<comt_digest::Digest> {
-        let mut live: std::collections::BTreeSet<comt_digest::Digest> =
-            std::collections::BTreeSet::new();
-        for desc in &self.index.manifests {
-            if desc.media_type == MediaType::Chunkmap {
-                continue; // handled below, once layer liveness is known
-            }
-            let Ok(md) = desc.parsed_digest() else { continue };
-            let Some(raw) = self.blobs.get(&md) else { continue };
-            live.insert(md);
-            let Ok(manifest) = serde_json::from_slice::<crate::spec::ImageManifest>(&raw) else {
-                continue;
-            };
-            if let Ok(d) = manifest.config.parsed_digest() {
-                live.insert(d);
-            }
-            for layer in &manifest.layers {
-                if let Ok(d) = layer.parsed_digest() {
-                    live.insert(d);
-                }
-            }
-        }
-        // A chunkmap blob is live iff the layer it describes is live.
-        for desc in self.index.chunkmap_entries() {
-            if desc.chunkmap_layer().is_some_and(|l| live.contains(&l)) {
-                if let Ok(d) = desc.parsed_digest() {
-                    live.insert(d);
-                }
-            }
-        }
-        live
-    }
-
-    /// What a garbage collection would delete: the unreachable digests (in
-    /// digest order) and their total byte count. `comt gc` prints this as
-    /// its dry run; [`OciDir::gc`] is the `--apply` path over the same set.
-    pub fn gc_plan(&self) -> (Vec<comt_digest::Digest>, u64) {
-        let live = self.live_set();
-        let mut dead = Vec::new();
-        let mut bytes = 0u64;
-        for (d, b) in self.blobs.iter() {
-            if !live.contains(d) {
-                dead.push(*d);
-                bytes += b.len() as u64;
-            }
-        }
-        (dead, bytes)
-    }
-
-    /// Garbage-collect blobs unreachable from any indexed manifest —
-    /// repeated rebuild/redirect rounds replace `+coMre`/`+opt` manifests
-    /// and orphan their old layers. Chunkmap index entries whose layer died
-    /// are swept along with their blobs. Returns the number of blobs
-    /// dropped.
-    pub fn gc(&mut self) -> usize {
-        let live = self.live_set();
-        self.index.manifests.retain(|d| {
-            d.media_type != MediaType::Chunkmap
-                || d.parsed_digest().map(|m| live.contains(&m)).unwrap_or(false)
-        });
-        self.blobs.retain(|d| live.contains(d))
     }
 
     /// Persist to a real directory in standard OCI layout form, under the
@@ -262,6 +183,29 @@ impl OciDir {
             }
         }
         Ok(OciDir { index, blobs })
+    }
+}
+
+/// Tags and chunkmaps live in [`OciDir::index`], blobs resident in
+/// [`OciDir::blobs`].
+impl RegistryBackend for OciDir {
+    fn index(&self) -> &ImageIndex {
+        &self.index
+    }
+
+    fn commit_index(&mut self, next: ImageIndex) -> Result<(), RegistryError> {
+        self.index = next;
+        Ok(())
+    }
+
+    fn blob_handle(&self, digest: &Digest) -> Option<BlobHandle> {
+        self.blobs.get(digest).map(BlobHandle::Resident)
+    }
+
+    fn put_blob(&mut self, digest: Digest, data: Bytes) -> Result<bool, RegistryError> {
+        let fresh = !self.blobs.contains(&digest);
+        self.blobs.put_verified(digest, data)?;
+        Ok(fresh)
     }
 }
 
@@ -345,80 +289,6 @@ mod tests {
             Err(LayoutError::DigestMismatch { .. })
         ));
         std::fs::remove_dir_all(&tmp).unwrap();
-    }
-
-    #[test]
-    fn gc_drops_orphaned_blobs() {
-        let mut store = BlobStore::new();
-        let md = tiny_image(&mut store);
-        let mut dir = OciDir::new();
-        dir.export("app.dist", md, &store).unwrap();
-        // Orphans: a stray blob and a replaced manifest generation.
-        dir.blobs.put(Bytes::from_static(b"orphaned layer bytes"));
-        let before = dir.blobs.len();
-        let dropped = dir.gc();
-        assert_eq!(dropped, 1);
-        assert_eq!(dir.blobs.len(), before - 1);
-        // Image still loads and flattens after GC.
-        let img = dir.load_image("app.dist").unwrap();
-        assert!(crate::flatten(&dir.blobs, &img).is_ok());
-        // Idempotent.
-        assert_eq!(dir.gc(), 0);
-    }
-
-    #[test]
-    fn gc_refcounts_shared_layers_across_two_tags() {
-        // Two tags sharing a base layer: dropping one tag must prune only
-        // the blobs unique to it; the shared layer survives because the
-        // other tag still reaches it (reachability is the refcount).
-        let mut store = BlobStore::new();
-        let mut base_fs = Vfs::new();
-        base_fs
-            .write_file_p("/lib/libm.so", Bytes::from_static(b"MATH"), 0o644)
-            .unwrap();
-        let base = ImageBuilder::from_scratch("x86_64")
-            .with_layer_from_fs(&Vfs::new(), &base_fs)
-            .commit(&mut store)
-            .unwrap();
-        let mut app_fs = base_fs.clone();
-        app_fs
-            .write_file_p("/app/run", Bytes::from_static(b"ELF"), 0o755)
-            .unwrap();
-        let app = ImageBuilder::from_base(&store, &base)
-            .unwrap()
-            .with_layer_from_fs(&base_fs, &app_fs)
-            .commit(&mut store)
-            .unwrap();
-
-        let shared_layer = base.manifest.layers[0].parsed_digest().unwrap();
-        let app_only_layer = app.manifest.layers[1].parsed_digest().unwrap();
-
-        let mut dir = OciDir::new();
-        dir.export("base:1", base.manifest_digest, &store).unwrap();
-        dir.export("app:1", app.manifest_digest, &store).unwrap();
-
-        // Both tags present: nothing is collectable.
-        let (dead, bytes) = dir.gc_plan();
-        assert!(dead.is_empty(), "{dead:?}");
-        assert_eq!(bytes, 0);
-
-        // Drop the app tag: exactly its manifest, config and unique layer
-        // become unreachable; the shared base layer must NOT be listed.
-        assert!(dir.index.remove_ref("app:1"));
-        let (dead, bytes) = dir.gc_plan();
-        assert_eq!(dead.len(), 3, "{dead:?}");
-        assert!(dead.contains(&app.manifest_digest));
-        assert!(dead.contains(&app_only_layer));
-        assert!(!dead.contains(&shared_layer));
-        assert!(bytes > 0);
-
-        // Apply: the plan and the deletion agree, and the surviving tag
-        // still loads and flattens.
-        assert_eq!(dir.gc(), 3);
-        assert!(dir.blobs.contains(&shared_layer));
-        assert!(!dir.blobs.contains(&app_only_layer));
-        let img = dir.load_image("base:1").unwrap();
-        assert_eq!(crate::flatten(&dir.blobs, &img).unwrap(), base_fs);
     }
 
     #[test]

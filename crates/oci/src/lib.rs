@@ -9,17 +9,20 @@
 //! mechanics those steps rely on:
 //!
 //! * [`BlobStore`] — content-addressed storage, deduplicating by digest,
-//! * [`spec`] — manifests, configs, image index (serde, OCI field names),
+//! * [`spec`] — manifests, configs, image index (serde, OCI field names);
+//!   the [`ImageIndex`] is the one tag table, holding refs and chunkmap
+//!   associations for every layout and registry,
 //! * [`Image`] / [`ImageBuilder`] — building images from layer changesets,
 //!   flattening an image to a filesystem ([`flatten`]),
-//! * [`Registry`] — named repositories with push/pull blob transfer,
-//! * [`layout`] — on-disk OCI image layout (`oci-layout`, `index.json`,
-//!   `blobs/sha256/…`),
+//! * [`layout`] — the OCI image layout (`oci-layout`, `index.json`,
+//!   `blobs/sha256/…`), held in memory as [`layout::OciDir`],
 //! * [`disk`] — the crash-safe persistent store ([`DiskStore`],
 //!   [`DiskRegistry`], [`LayoutLock`]): tmp → fsync → atomic-rename
-//!   commits, lazy digest-verified reads, advisory layout locking,
+//!   commits, lazy digest-verified reads, advisory layout locking, gc,
 //! * [`backend`] — the [`RegistryBackend`] trait the wire daemon is
-//!   generic over (in-memory or disk-backed),
+//!   generic over: staged publish and chunkmaps, implemented once over the
+//!   index for both [`layout::OciDir`] (in memory) and [`DiskRegistry`]
+//!   (on disk),
 //! * [`fsck`] — torn-layout diagnosis and repair (`comt fsck`).
 
 pub mod backend;
@@ -39,7 +42,7 @@ pub use image::{flatten, layer_tar, Image, ImageBuilder, ImageError};
 pub use spec::{
     Descriptor, ImageConfig, ImageIndex, ImageManifest, MediaType, Platform, RuntimeConfig,
 };
-pub use store::{closure_digests, closure_of_manifest, BlobStore, Registry, RegistryError};
+pub use store::{closure_digests, closure_of_manifest, BlobStore, RegistryError};
 
 /// Serialize a manifest to its canonical JSON bytes (exposed for tests and
 /// tools that need to hand-craft manifests).

@@ -207,6 +207,18 @@ impl ImageIndex {
         self.manifests.iter().find(|d| d.ref_name() == Some(name))
     }
 
+    /// Resolve a wire tag key (`name:reference`) to its manifest digest.
+    /// A ref stored with an explicit `:tag` matches exactly; a bare ref
+    /// name (`app.dist+coM`) answers to its `latest` reference. Every
+    /// registry backend serves tags through this one rule.
+    pub fn resolve_key(&self, key: &str) -> Option<comt_digest::Digest> {
+        let desc = match self.find_ref(key) {
+            Some(d) => d,
+            None => self.find_ref(key.strip_suffix(":latest")?)?,
+        };
+        desc.parsed_digest().ok()
+    }
+
     /// Add or replace a manifest entry for `name`.
     pub fn set_ref(&mut self, name: &str, desc: Descriptor) {
         self.manifests.retain(|d| d.ref_name() != Some(name));
@@ -214,8 +226,9 @@ impl ImageIndex {
     }
 
     /// Remove the manifest entry for `name`; returns whether it existed.
-    /// Blobs are untouched — run [`crate::layout::OciDir::gc`] afterwards
-    /// to drop whatever the remaining refs no longer reach.
+    /// Blobs are untouched — on a disk layout, run
+    /// [`crate::disk::DiskRegistry::gc_apply`] (`comt gc --apply`)
+    /// afterwards to drop whatever the remaining refs no longer reach.
     pub fn remove_ref(&mut self, name: &str) -> bool {
         let before = self.manifests.len();
         self.manifests.retain(|d| d.ref_name() != Some(name));
@@ -232,11 +245,13 @@ impl ImageIndex {
         self.manifests.push(desc.with_chunkmap_layer(layer));
     }
 
-    /// The chunkmap descriptor for a layer blob, if one is recorded.
-    pub fn chunkmap_for(&self, layer: &comt_digest::Digest) -> Option<&Descriptor> {
-        self.manifests.iter().find(|d| {
-            d.media_type == MediaType::Chunkmap && d.chunkmap_layer() == Some(*layer)
-        })
+    /// Digest of the chunkmap blob recorded for a layer blob, if any. The
+    /// index annotations are the only record of this relation.
+    pub fn chunkmap_for(&self, layer: &comt_digest::Digest) -> Option<comt_digest::Digest> {
+        self.chunkmap_entries()
+            .find(|d| d.chunkmap_layer() == Some(*layer))?
+            .parsed_digest()
+            .ok()
     }
 
     /// All chunkmap descriptors in the index.
@@ -318,6 +333,19 @@ mod tests {
         idx.set_ref("app:latest", d3.clone());
         assert_eq!(idx.manifests.len(), 2);
         assert_eq!(idx.find_ref("app:latest").unwrap().digest, d3.digest);
+    }
+
+    #[test]
+    fn wire_keys_resolve_exact_then_bare_as_latest() {
+        let mut idx = ImageIndex::default();
+        let (tagged, bare) = (Digest::of(b"tagged"), Digest::of(b"bare"));
+        idx.set_ref("app:v1", Descriptor::new(MediaType::ImageManifest, tagged, 1));
+        idx.set_ref("app.dist+coM", Descriptor::new(MediaType::ImageManifest, bare, 1));
+        assert_eq!(idx.resolve_key("app:v1"), Some(tagged));
+        assert_eq!(idx.resolve_key("app.dist+coM:latest"), Some(bare));
+        assert_eq!(idx.resolve_key("app.dist+coM"), Some(bare));
+        assert_eq!(idx.resolve_key("app:latest"), None);
+        assert_eq!(idx.resolve_key("app.dist+coM:v1"), None);
     }
 
     #[test]

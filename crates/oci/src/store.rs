@@ -1,4 +1,4 @@
-//! Content-addressed blob storage and the simulated registry.
+//! Content-addressed blob storage and the manifest closure walk.
 
 use bytes::Bytes;
 use comt_digest::Digest;
@@ -90,14 +90,6 @@ impl BlobStore {
         self.blobs.iter()
     }
 
-    /// Keep only blobs whose digest satisfies the predicate; returns how
-    /// many were dropped (garbage collection support).
-    pub fn retain(&mut self, keep: impl Fn(&Digest) -> bool) -> usize {
-        let before = self.blobs.len();
-        self.blobs.retain(|d, _| keep(d));
-        before - self.blobs.len()
-    }
-
     /// Insert a blob under an arbitrary digest, bypassing hashing — only
     /// for corruption/fault-injection tests (hence the name and the
     /// `#[doc(hidden)]`; production paths go through [`BlobStore::put`] or
@@ -105,11 +97,6 @@ impl BlobStore {
     #[doc(hidden)]
     pub fn insert_raw_for_tests(&mut self, digest: Digest, data: Bytes) {
         self.blobs.insert(digest, data);
-    }
-
-    #[cfg(test)]
-    pub(crate) fn insert_raw(&mut self, digest: Digest, data: Bytes) {
-        self.insert_raw_for_tests(digest, data);
     }
 
     /// Copy a blob from another store if missing here.
@@ -130,8 +117,6 @@ impl BlobStore {
 /// Errors from registry operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
-    /// No manifest tagged with the requested name.
-    UnknownTag(String),
     /// A referenced blob is missing from the source store.
     MissingBlob(String),
     /// Manifest blob failed to parse.
@@ -147,7 +132,6 @@ pub enum RegistryError {
 impl std::fmt::Display for RegistryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RegistryError::UnknownTag(t) => write!(f, "unknown tag: {t}"),
             RegistryError::MissingBlob(d) => write!(f, "missing blob: {d}"),
             RegistryError::CorruptManifest(e) => write!(f, "corrupt manifest: {e}"),
             RegistryError::DigestMismatch(d) => {
@@ -158,46 +142,12 @@ impl std::fmt::Display for RegistryError {
     }
 }
 
-/// Re-hash each closure blob in `src` and check it against its address.
-///
-/// Blobs are independent, so verification fans out across threads (real
-/// registries do the same on push/pull: digest checks dominate transfer CPU
-/// time). Runs under the `store.verify` span with a `store.verify.blobs`
-/// counter.
-fn verify_blobs(src: &BlobStore, digests: &[Digest]) -> Result<(), RegistryError> {
-    let obs = comt_observe::global();
-    let _span = obs.span("store.verify");
-    let verify_one = |d: &Digest| -> Result<(), RegistryError> {
-        let blob = src
-            .get(d)
-            .ok_or_else(|| RegistryError::MissingBlob(d.to_string()))?;
-        if Digest::of(&blob) != *d {
-            return Err(RegistryError::DigestMismatch(d.to_string()));
-        }
-        Ok(())
-    };
-    obs.count("store.verify.blobs", digests.len() as u64);
-    if digests.len() > 1 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = digests
-                .iter()
-                .map(|d| s.spawn(move || verify_one(d)))
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("verify worker panicked"))
-        })
-    } else {
-        digests.iter().try_for_each(verify_one)
-    }
-}
-
 impl std::error::Error for RegistryError {}
 
 /// Recursively collect the digests reachable from a manifest in `src`: the
 /// manifest itself first, then its config, then every layer in order. This
-/// is the transfer unit of both the in-process [`Registry`] and the wire
-/// protocol (`comt-dist`): a push/pull moves exactly this closure.
+/// is the transfer unit of layout exports and of the wire protocol
+/// (`comt-dist`): a push/pull moves exactly this closure.
 pub fn closure_digests(
     src: &BlobStore,
     manifest_digest: &Digest,
@@ -232,165 +182,6 @@ pub fn closure_of_manifest(
         );
     }
     Ok(out)
-}
-
-/// A simulated OCI registry: tag → manifest digest, backed by a blob store.
-///
-/// `push`/`pull` between registries transfer only missing blobs, mirroring
-/// real registry cross-repo behaviour. The registry is also the transport
-/// between the user side and the HPC system side in the coMtainer workflow.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    tags: BTreeMap<String, Digest>,
-    store: BlobStore,
-    /// layer blob digest → chunkmap blob digest (sub-layer dedupe).
-    chunkmaps: BTreeMap<Digest, Digest>,
-}
-
-impl Registry {
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    pub fn store(&self) -> &BlobStore {
-        &self.store
-    }
-
-    pub fn store_mut(&mut self) -> &mut BlobStore {
-        &mut self.store
-    }
-
-    /// Tags present, sorted.
-    pub fn tags(&self) -> Vec<String> {
-        self.tags.keys().cloned().collect()
-    }
-
-    /// Manifest digest for a tag.
-    pub fn resolve(&self, tag: &str) -> Option<Digest> {
-        self.tags.get(tag).copied()
-    }
-
-    /// Digest of the chunkmap blob recorded for a layer blob, if any.
-    pub fn chunkmap_for(&self, layer: &Digest) -> Option<Digest> {
-        self.chunkmaps.get(layer).copied()
-    }
-
-    /// Record a chunkmap blob for `layer`, storing its bytes. The layer
-    /// blob must already be committed — a chunkmap for bytes the registry
-    /// does not hold could never serve a chunk GET.
-    pub fn put_chunkmap(&mut self, layer: Digest, map: Bytes) -> Result<Digest, RegistryError> {
-        if !self.store.contains(&layer) {
-            return Err(RegistryError::MissingBlob(layer.to_string()));
-        }
-        let digest = self.store.put(map);
-        self.chunkmaps.insert(layer, digest);
-        Ok(digest)
-    }
-
-    /// Recursively collect the digests reachable from a manifest: the
-    /// manifest itself, its config, and all layers.
-    fn closure(
-        src: &BlobStore,
-        manifest_digest: &Digest,
-    ) -> Result<Vec<Digest>, RegistryError> {
-        closure_digests(src, manifest_digest)
-    }
-
-    /// Push a manifest (and its blob closure) from a local store under `tag`.
-    pub fn push(
-        &mut self,
-        tag: &str,
-        manifest_digest: Digest,
-        src: &BlobStore,
-    ) -> Result<usize, RegistryError> {
-        let closure = Self::closure(src, &manifest_digest)?;
-        // Verify content-addressing before admitting blobs (concurrently —
-        // layers are independent).
-        verify_blobs(src, &closure)?;
-        // Blobs the remote already holds are re-verified too: deduplication
-        // must not mask a poisoned or truncated pre-existing blob — that is
-        // a `DigestMismatch`, not a free skip.
-        let present: Vec<Digest> = closure
-            .iter()
-            .filter(|d| self.store.contains(d))
-            .copied()
-            .collect();
-        verify_blobs(&self.store, &present)?;
-        let mut transferred = 0usize;
-        for d in closure {
-            if !self.store.contains(&d) {
-                if !self.store.fetch_from(src, &d) {
-                    return Err(RegistryError::MissingBlob(d.to_string()));
-                }
-                transferred += 1;
-            }
-        }
-        self.tags.insert(tag.to_string(), manifest_digest);
-        Ok(transferred)
-    }
-
-    /// Tag a manifest whose closure already lives in this registry's own
-    /// store, verifying every blob's bytes first. This is the manifest-PUT
-    /// path of the wire protocol: blobs arrive one at a time over
-    /// connections, and the tag only becomes visible once the whole closure
-    /// is present and content-addressed correctly.
-    pub fn tag_verified(
-        &mut self,
-        tag: &str,
-        manifest_digest: Digest,
-    ) -> Result<(), RegistryError> {
-        let closure = Self::closure(&self.store, &manifest_digest)?;
-        verify_blobs(&self.store, &closure)?;
-        self.tags.insert(tag.to_string(), manifest_digest);
-        Ok(())
-    }
-
-    /// Publish manifest bytes under `tag`: stage the manifest blob, verify
-    /// the full closure is present and bit-correct, and only then make the
-    /// tag visible. On failure a freshly staged manifest blob is unwound so
-    /// a rejected publish leaves no trace. This is the manifest-PUT path of
-    /// the wire protocol.
-    pub fn publish_manifest(
-        &mut self,
-        tag: &str,
-        manifest: Bytes,
-    ) -> Result<Digest, RegistryError> {
-        let fresh = !self.store.contains(&Digest::of(&manifest));
-        let digest = self.store.put(manifest);
-        match self.tag_verified(tag, digest) {
-            Ok(()) => Ok(digest),
-            Err(e) => {
-                if fresh {
-                    self.store.retain(|d| *d != digest);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Pull a tag's manifest closure into a local store; returns the
-    /// manifest digest and how many blobs were transferred.
-    pub fn pull(
-        &self,
-        tag: &str,
-        dst: &mut BlobStore,
-    ) -> Result<(Digest, usize), RegistryError> {
-        let manifest_digest = self
-            .resolve(tag)
-            .ok_or_else(|| RegistryError::UnknownTag(tag.to_string()))?;
-        let closure = Self::closure(&self.store, &manifest_digest)?;
-        verify_blobs(&self.store, &closure)?;
-        let mut transferred = 0usize;
-        for d in closure {
-            if !dst.contains(&d) {
-                if !dst.fetch_from(&self.store, &d) {
-                    return Err(RegistryError::MissingBlob(d.to_string()));
-                }
-                transferred += 1;
-            }
-        }
-        Ok((manifest_digest, transferred))
-    }
 }
 
 #[cfg(test)]
@@ -438,124 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn push_pull_transfers_closure() {
-        let mut local = BlobStore::new();
-        let md = tiny_image(&mut local);
-
-        let mut reg = Registry::new();
-        let n = reg.push("app:1.0", md, &local).unwrap();
-        assert_eq!(n, 3); // manifest + config + 1 layer
-
-        // Second push transfers nothing.
-        assert_eq!(reg.push("app:dup", md, &local).unwrap(), 0);
-
-        let mut remote = BlobStore::new();
-        let (got, n2) = reg.pull("app:1.0", &mut remote).unwrap();
-        assert_eq!(got, md);
-        assert_eq!(n2, 3);
-        assert!(remote.contains(&md));
-    }
-
-    #[test]
-    fn pull_unknown_tag() {
-        let reg = Registry::new();
-        let mut dst = BlobStore::new();
-        assert!(matches!(
-            reg.pull("ghost:latest", &mut dst),
-            Err(RegistryError::UnknownTag(_))
-        ));
-    }
-
-    #[test]
-    fn push_detects_corrupt_blob() {
-        let mut local = BlobStore::new();
-        let md = tiny_image(&mut local);
-        // Corrupt the first layer blob in place (content no longer hashes
-        // to its address).
-        let layer_digest = {
-            let raw = local.get(&md).unwrap();
-            let manifest: crate::spec::ImageManifest = serde_json::from_slice(&raw).unwrap();
-            manifest.layers[0].parsed_digest().unwrap()
-        };
-        local.insert_raw(layer_digest, Bytes::from_static(b"tampered"));
-        let mut reg = Registry::new();
-        assert!(matches!(
-            reg.push("bad:1", md, &local),
-            Err(RegistryError::DigestMismatch(_))
-        ));
-    }
-
-    #[test]
-    fn push_detects_poisoned_preexisting_remote_blob() {
-        // Regression: a blob that already exists on the remote used to be
-        // deduplicated away without ever re-hashing the remote's bytes, so
-        // a poisoned/truncated remote copy silently survived. The second
-        // push must now surface it as DigestMismatch.
-        let mut local = BlobStore::new();
-        let md = tiny_image(&mut local);
-        let mut reg = Registry::new();
-        reg.push("app:1", md, &local).unwrap();
-
-        let layer_digest = {
-            let raw = local.get(&md).unwrap();
-            let manifest: crate::spec::ImageManifest = serde_json::from_slice(&raw).unwrap();
-            manifest.layers[0].parsed_digest().unwrap()
-        };
-        // Poison the REMOTE copy; the local source stays pristine.
-        reg.store_mut()
-            .insert_raw(layer_digest, Bytes::from_static(b"truncated"));
-
-        assert!(matches!(
-            reg.push("app:2", md, &local),
-            Err(RegistryError::DigestMismatch(_))
-        ));
-        // The poisoned blob was not re-tagged as a fresh ref either.
-        assert!(reg.resolve("app:2").is_none());
-    }
-
-    #[test]
-    fn tag_verified_requires_complete_valid_closure() {
-        let mut local = BlobStore::new();
-        let md = tiny_image(&mut local);
-
-        // Closure complete and valid → tag appears.
-        let mut reg = Registry::new();
-        for (d, b) in local.iter() {
-            reg.store_mut().put_prehashed(*d, b.clone());
-        }
-        reg.tag_verified("ok:1", md).unwrap();
-        assert_eq!(reg.resolve("ok:1"), Some(md));
-
-        // Missing layer blob → no tag.
-        let mut partial = Registry::new();
-        partial.store_mut().put(local.get(&md).unwrap());
-        assert!(matches!(
-            partial.tag_verified("bad:1", md),
-            Err(RegistryError::MissingBlob(_))
-        ));
-        assert!(partial.resolve("bad:1").is_none());
-
-        // Corrupt layer blob → no tag.
-        let layer_digest = {
-            let raw = local.get(&md).unwrap();
-            let manifest: crate::spec::ImageManifest = serde_json::from_slice(&raw).unwrap();
-            manifest.layers[0].parsed_digest().unwrap()
-        };
-        let mut poisoned = Registry::new();
-        for (d, b) in local.iter() {
-            poisoned.store_mut().put_prehashed(*d, b.clone());
-        }
-        poisoned
-            .store_mut()
-            .insert_raw(layer_digest, Bytes::from_static(b"garbage"));
-        assert!(matches!(
-            poisoned.tag_verified("bad:2", md),
-            Err(RegistryError::DigestMismatch(_))
-        ));
-        assert!(poisoned.resolve("bad:2").is_none());
-    }
-
-    #[test]
     fn closure_digests_orders_manifest_config_layers() {
         let mut local = BlobStore::new();
         let md = tiny_image(&mut local);
@@ -575,13 +248,5 @@ mod tests {
         let d = Digest::of(&data);
         assert_eq!(s.put_prehashed(d, data.clone()), d);
         assert_eq!(s.get(&d).unwrap(), data);
-    }
-
-    #[test]
-    fn push_with_missing_blob_fails() {
-        let local = BlobStore::new();
-        let mut reg = Registry::new();
-        let err = reg.push("x", Digest::of(b"not-a-manifest"), &local);
-        assert!(matches!(err, Err(RegistryError::MissingBlob(_))));
     }
 }

@@ -8,7 +8,7 @@ use comtainer_suite::oci::fsck::{fsck, FsckOptions};
 use comtainer_suite::oci::layout::{LayoutError, OciDir};
 use comtainer_suite::oci::spec::{Descriptor, MediaType};
 use comtainer_suite::oci::store::{closure_digests, BlobStore};
-use comtainer_suite::oci::{DiskRegistry, DiskStore, ImageBuilder};
+use comtainer_suite::oci::{DiskRegistry, DiskStore, ImageBuilder, RegistryBackend};
 use comt_digest::Digest;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -140,7 +140,7 @@ fn fsck_passes_the_wire_tag_key_for_saved_refs() {
     let dir = tmp_layout("tagkey");
     let (md, _) = published_layout(&dir);
     let reg = DiskRegistry::open(&dir).unwrap();
-    assert_eq!(reg.resolve(&tag_key("app.dist", "latest")), Some(md));
+    assert_eq!(reg.index().resolve_key(&tag_key("app.dist", "latest")), Some(md));
     drop(reg);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,8 +6,9 @@
 
 use comt_bench::Lab;
 use comt_dist::{serve, split_ref, tag_key, Chaos, DistClient, ServerOptions};
+use comt_oci::layout::OciDir;
 use comt_oci::store::closure_digests;
-use comt_oci::{BlobStore, Registry};
+use comt_oci::BlobStore;
 use comtainer_suite::pkg::catalog;
 
 #[test]
@@ -21,7 +22,7 @@ fn extended_image_survives_mid_blob_disconnects() {
     // The daemon truncates the first 4 blob GET responses after 512 bytes
     // and drops the connection — the client must resume, not restart.
     let server = serve(
-        Registry::new(),
+        OciDir::new(),
         "127.0.0.1:0",
         ServerOptions {
             chaos: Some(Chaos {
@@ -60,7 +61,7 @@ fn extended_image_survives_mid_blob_disconnects() {
     );
 
     let reg = server.shutdown();
-    assert_eq!(reg.resolve(&tag_key(name, tag)), Some(md));
+    assert_eq!(reg.index.resolve_key(&tag_key(name, tag)), Some(md));
 }
 
 #[test]
@@ -74,7 +75,7 @@ fn shared_layers_dedupe_across_pushed_refs() {
     let dist_md = art.oci.resolve("hpccg.dist").unwrap();
     let ext_md = art.oci.resolve("hpccg.dist+coM").unwrap();
 
-    let server = serve(Registry::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let server = serve(OciDir::new(), "127.0.0.1:0", ServerOptions::default()).unwrap();
     let client = DistClient::new(server.addr().to_string());
 
     let first = client

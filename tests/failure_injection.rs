@@ -5,6 +5,7 @@ use bytes::Bytes;
 use comt_bench::Lab;
 use comtainer_suite::core::{comtainer_rebuild, load_cache, RebuildOptions};
 use comtainer_suite::oci::layout::OciDir;
+use comtainer_suite::oci::{RegistryBackend, RegistryError};
 use comtainer_suite::pkg::catalog;
 
 /// Prepare an extended hpccg image once for the tampering tests.
@@ -150,15 +151,13 @@ fn truncated_layer_blob_fails_flatten() {
 fn registry_pull_with_missing_blob_fails() {
     let (_lab, art) = extended();
     let ext = art.oci.load_image("hpccg.dist+coM").unwrap();
-    // Push only the manifest blob into a registry store directly (bypassing
-    // push's closure copy), then pull.
-    let mut reg = comtainer_suite::oci::Registry::new();
+    // A registry holding the manifest blob but none of its config or
+    // layer blobs: the staged publish must refuse the tag, so there is
+    // nothing to pull.
+    let mut reg = OciDir::new();
     let raw = art.oci.blobs.get(&ext.manifest_digest).unwrap();
-    reg.store_mut().put(raw);
-    // resolve/pull path: a manual tag insert is not exposed, so push from a
-    // store that lacks the layer blobs must already fail.
-    let mut partial = comtainer_suite::oci::BlobStore::new();
-    partial.put(art.oci.blobs.get(&ext.manifest_digest).unwrap());
-    let err = reg.push("x", ext.manifest_digest, &partial);
-    assert!(err.is_err());
+    reg.put_blob(ext.manifest_digest, raw.clone()).unwrap();
+    let err = reg.put_manifest("x:latest", raw);
+    assert!(matches!(err, Err(RegistryError::MissingBlob(_))), "{err:?}");
+    assert_eq!(reg.index.resolve_key("x:latest"), None);
 }

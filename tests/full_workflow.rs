@@ -119,24 +119,34 @@ fn adapted_binary_provenance() {
 
 #[test]
 fn registry_transfer_of_extended_image() {
-    // The extended image is OCI-compliant: it pushes/pulls through the
-    // simulated registry like any other image (paper §4.1: "allowing it to
-    // be pushed to OCI-compliant image registries").
+    // The extended image is OCI-compliant: it pushes/pulls through a
+    // registry daemon like any other image (paper §4.1: "allowing it to be
+    // pushed to OCI-compliant image registries").
     let mut lab = Lab::new("x86_64", catalog::MINI_SCALE);
     let art = lab.prepare_app("hpccg");
     let ext = art.oci.load_image("hpccg.dist+coM").unwrap();
 
-    let mut registry = comtainer_suite::oci::Registry::new();
-    registry
-        .push("hpccg:extended", ext.manifest_digest, &art.oci.blobs)
+    let server = comt_dist::serve(
+        comtainer_suite::oci::layout::OciDir::new(),
+        "127.0.0.1:0",
+        comt_dist::ServerOptions::default(),
+    )
+    .unwrap();
+    let client = comt_dist::DistClient::new(server.addr().to_string());
+    client
+        .push_image("hpccg", "extended", ext.manifest_digest, &art.oci.blobs)
         .unwrap();
 
     let mut remote_store = comtainer_suite::oci::BlobStore::new();
-    let (digest, _) = registry.pull("hpccg:extended", &mut remote_store).unwrap();
+    let (digest, _) = client
+        .pull_image("hpccg", "extended", &mut remote_store)
+        .unwrap();
+    assert_eq!(digest, ext.manifest_digest);
     let pulled = comtainer_suite::oci::Image::load(&remote_store, digest).unwrap();
     let fs = comtainer_suite::oci::flatten(&remote_store, &pulled).unwrap();
     assert!(fs.exists("/.coMtainer/cache/models.json"));
     assert!(fs.exists("/app/hpccg"));
+    drop(server.shutdown());
 }
 
 #[test]
