@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use comt_bench::report::{json_report, json_row, table};
-use comt_dist::{serve, DistClient, ServerOptions};
+use comt_dist::{serve, DistClient, HttpOptions, ServerOptions};
 use comt_oci::layout::OciDir;
 use comt_oci::store::closure_digests;
 use comt_oci::{BlobStore, ImageBuilder};
@@ -289,7 +289,7 @@ fn main() {
     // ── Flash-crowd case: 8 vs 1k concurrent raw-GET pullers ─────────
     //
     // Every puller streams the bulk layer through the readiness-driven
-    // serve path. The layer is cache-resident (shared `Bytes` clones), so
+    // serve path. The layer is resident (shared `Bytes` clones), so
     // a thousand in-flight responses must NOT multiply server memory —
     // each connection holds a refcount and a cursor, never a private copy
     // of the blob. VmHWM is monotone, so reading it after the 8-puller
@@ -308,9 +308,12 @@ fn main() {
         OciDir::new(),
         "127.0.0.1:0",
         ServerOptions {
-            threads: loop_threads,
-            max_conns: crowd + 64,
-            backlog: 1024,
+            http: HttpOptions {
+                threads: loop_threads,
+                max_conns: crowd + 64,
+                backlog: 1024,
+                ..Default::default()
+            },
             ..Default::default()
         },
     )
@@ -355,7 +358,7 @@ fn main() {
     // Peak-RSS flatness: the 1k-puller crowd may not push peak RSS past
     // 2x of where the 8-puller run left it. A serve path that buffers
     // whole blobs per connection fails this by an order of magnitude
-    // (1k x blob vs one shared cache entry).
+    // (1k x blob vs one shared resident copy).
     match (hwm_after[0].1, hwm_after[1].1) {
         (Some(small), Some(big)) => {
             let ratio = big as f64 / small.max(1) as f64;
@@ -377,9 +380,12 @@ fn main() {
             OciDir::new(),
             "127.0.0.1:0",
             ServerOptions {
-                threads: 1,
-                max_conns: crowd + 64,
-                backlog: 1024,
+                http: HttpOptions {
+                    threads: 1,
+                    max_conns: crowd + 64,
+                    backlog: 1024,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         )

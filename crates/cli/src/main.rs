@@ -13,7 +13,7 @@
 //! comt redirect    <layout-dir> <coMre-ref> [--isa x86_64]
 //! comt adapt       <layout-dir> <ext-ref>  [--isa x86_64] [--lto] [--stats]
 //! comt cross-check <layout-dir> <ext-ref>  <target-isa>
-//! comt serve       <layout-dir> [--addr HOST:PORT] [--threads N] [--cache-bytes SIZE] [--max-conns N] [--client-rate BYTES/S]
+//! comt serve       <layout-dir> [--addr HOST:PORT] [--threads N] [--max-conns N] [--client-rate BYTES/S]
 //! comt buildd      <layout-dir> [--addr HOST:PORT] [--workers N] [--quota N]
 //! comt submit      <ext-ref> --remote HOST:PORT --tenant NAME [--isa ISA] [--lto] [--parallel] [--priority N] [--wait] [--stats]
 //! comt jobs        --remote HOST:PORT [--tenant NAME] [--cancel ID]
@@ -47,7 +47,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  comt refs <layout-dir>\n  comt inspect <layout-dir> <ref>\n  comt check <layout-dir> [ref] [--isa ISA] [--lto] [--deny-warnings] [--format json]\n  comt check --explain <CODE>\n  comt audit <layout-dir> [ref] [--target ARCH]... [--lto] [--format json]\n  comt rebuild <layout-dir> <ext-ref> [--isa ISA] [--lto] [--parallel] [--bolt] [--stats] [--check]\n  comt retarget <layout-dir> <ext-ref> --target ARCH [--target ARCH]... [--isa ISA] [--lto] [--parallel] [--bolt] [--warm] [--stats]\n  comt redirect <layout-dir> <coMre-ref> [--isa ISA]\n  comt adapt <layout-dir> <ext-ref> [--isa ISA] [--lto] [--stats]\n  comt cross-check <layout-dir> <ext-ref> <target-isa>\n  comt serve <layout-dir> [--addr HOST:PORT] [--threads N] [--cache-bytes SIZE] [--max-conns N] [--client-rate BYTES/S]\n  comt buildd <layout-dir> [--addr HOST:PORT] [--workers N] [--quota N]\n  comt submit <ext-ref> --remote HOST:PORT --tenant NAME [--isa ISA] [--lto] [--parallel] [--target ARCH]... [--priority N] [--wait] [--stats]\n  comt jobs --remote HOST:PORT [--tenant NAME] [--cancel ID]\n  comt push <layout-dir> <ref> --remote HOST:PORT [--chunked] [--stats]\n  comt pull <layout-dir> <ref> --remote HOST:PORT [--full] [--stats]\n  comt gc <layout-dir> [--apply] [--format json]\n  comt fsck <layout-dir> [--repair] [--format json]"
+        "usage:\n  comt refs <layout-dir>\n  comt inspect <layout-dir> <ref>\n  comt check <layout-dir> [ref] [--isa ISA] [--lto] [--deny-warnings] [--format json]\n  comt check --explain <CODE>\n  comt audit <layout-dir> [ref] [--target ARCH]... [--lto] [--format json]\n  comt rebuild <layout-dir> <ext-ref> [--isa ISA] [--lto] [--parallel] [--bolt] [--stats] [--check]\n  comt retarget <layout-dir> <ext-ref> --target ARCH [--target ARCH]... [--isa ISA] [--lto] [--parallel] [--bolt] [--warm] [--stats]\n  comt redirect <layout-dir> <coMre-ref> [--isa ISA]\n  comt adapt <layout-dir> <ext-ref> [--isa ISA] [--lto] [--stats]\n  comt cross-check <layout-dir> <ext-ref> <target-isa>\n  comt serve <layout-dir> [--addr HOST:PORT] [--threads N] [--max-conns N] [--client-rate BYTES/S]\n  comt buildd <layout-dir> [--addr HOST:PORT] [--workers N] [--quota N]\n  comt submit <ext-ref> --remote HOST:PORT --tenant NAME [--isa ISA] [--lto] [--parallel] [--target ARCH]... [--priority N] [--wait] [--stats]\n  comt jobs --remote HOST:PORT [--tenant NAME] [--cancel ID]\n  comt push <layout-dir> <ref> --remote HOST:PORT [--chunked] [--stats]\n  comt pull <layout-dir> <ref> --remote HOST:PORT [--full] [--stats]\n  comt gc <layout-dir> [--apply] [--format json]\n  comt fsck <layout-dir> [--repair] [--format json]"
     );
     ExitCode::from(2)
 }
@@ -434,10 +434,10 @@ fn cmd_serve(dir: &str, args: &[String]) -> Result<(), String> {
     let addr = opt_value(args, "--addr", "127.0.0.1:7070");
     let mut opts = ServerOptions::default();
     if let Ok(n) = opt_value(args, "--threads", "").parse::<usize>() {
-        opts.threads = n.max(1);
+        opts.http.threads = n.max(1);
     }
-    // Sizes accept a K/M/G binary suffix: `--cache-bytes 256M`.
-    let parse_size = |s: &str| -> Option<u64> {
+    // Rates accept a K/M/G binary suffix: `--client-rate 10M`.
+    let parse_rate = |s: &str| -> Option<u64> {
         let s = s.trim();
         let (num, shift) = match s.as_bytes().last()? {
             b'K' | b'k' => (&s[..s.len() - 1], 10),
@@ -447,17 +447,12 @@ fn cmd_serve(dir: &str, args: &[String]) -> Result<(), String> {
         };
         num.parse::<u64>().ok().map(|n| n << shift)
     };
-    let cache_arg = opt_value(args, "--cache-bytes", "");
-    if !cache_arg.is_empty() {
-        opts.cache_bytes = parse_size(&cache_arg)
-            .ok_or_else(|| format!("--cache-bytes: bad size {cache_arg:?}"))?;
-    }
     if let Ok(n) = opt_value(args, "--max-conns", "").parse::<usize>() {
-        opts.max_conns = n.max(1);
+        opts.http.max_conns = n.max(1);
     }
     let rate_arg = opt_value(args, "--client-rate", "");
     if !rate_arg.is_empty() {
-        opts.client_rate = parse_size(&rate_arg)
+        opts.http.client_rate = parse_rate(&rate_arg)
             .ok_or_else(|| format!("--client-rate: bad rate {rate_arg:?}"))?;
     }
     let server = serve(reg, addr.as_str(), opts).map_err(|e| format!("bind {addr}: {e}"))?;

@@ -14,10 +14,11 @@
 //! ```text
 //!            read-ready                 request complete
 //!   Reading ───────────▶ feed parser ─────────────────────▶ Writing
-//!      ▲                                                      │ │
-//!      │ response drained, keep-alive                         │ │ bucket
-//!      └──────────────────────────────────────────────────────┘ │ empty
-//!                                              Throttled ◀──────┘
+//!      ▲                                                    │ │ │
+//!      │ response drained, keep-alive                       │ │ │ bucket
+//!      └────────────────────────────────────────────────────┘ │ │ empty
+//!                                   response drained, close   │ ▼
+//!                                  Lingering ◀────────────────┘ Throttled
 //! ```
 //!
 //! * **Reading** holds an incremental [`wire::RequestParser`]; bytes are
@@ -32,12 +33,17 @@
 //! * **Throttled** parks a connection whose per-client token bucket ran
 //!   dry, with *no* epoll interest (no busy loop); the periodic tick
 //!   re-arms it once tokens accrue.
+//! * **Lingering** ends a `Connection: close` (or chaos-truncated) line:
+//!   the write side is shut, so the peer reads the whole body and then
+//!   EOF, and input is discarded until the peer's own EOF. Closing with
+//!   unread input queued would make the kernel answer with a reset that
+//!   destroys the tail of the response still in flight.
 //!
-//! Every state carries a deadline (read timeout while Reading, write
-//! timeout while Writing — refreshed on progress, not per pass), swept on
-//! the loop's tick: a peer that stalls mid-upload or reads at zero-window
-//! forever is closed and its slot freed, so slow or dead clients can
-//! never wedge the reactor.
+//! Every state carries a deadline (read timeout while Reading or
+//! Lingering, write timeout while Writing — refreshed on progress, not per
+//! pass), swept on the loop's tick: a peer that stalls mid-upload or reads
+//! at zero-window forever is closed and its slot freed, so slow or dead
+//! clients can never wedge the reactor.
 
 use crate::http::{BodySource, HttpAction, HttpHandler, HttpOptions, STREAM_CHUNK};
 use crate::poller::{sendfile, set_backlog, Poller, Waker};
@@ -45,7 +51,7 @@ use crate::wire::{self, RequestParser};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -175,6 +181,9 @@ enum State {
     Writing(WriteState),
     /// Token bucket ran dry; retry at the instant carried here.
     Throttled(WriteState, Instant),
+    /// Response sent and write side shut; discard input until the peer's
+    /// EOF, then close.
+    Lingering,
 }
 
 struct Conn {
@@ -408,6 +417,16 @@ impl<H: HttpHandler> EventLoop<H> {
     }
 
     fn conn_event(&mut self, token: u64, readable: bool, writable: bool, hangup: bool) {
+        let lingering = matches!(
+            self.conns.get(&token).map(|c| &c.state),
+            Some(State::Lingering)
+        );
+        if lingering {
+            // A hangup here is usually the peer's FIN meeting ours: drain
+            // what it sent first, so the close itself cannot reset.
+            self.discard_input(token);
+            return;
+        }
         if hangup {
             // EPOLLERR/EPOLLHUP: the fd is dead — a mid-write disconnect
             // lands here and frees the slot immediately.
@@ -563,6 +582,7 @@ impl<H: HttpHandler> EventLoop<H> {
     fn on_writable(&mut self, token: u64) {
         enum Next {
             Close,
+            Linger,
             Stay,
             TryPipelined,
         }
@@ -604,7 +624,7 @@ impl<H: HttpHandler> EventLoop<H> {
                 }
                 Pass::Done => {
                     if ws.close_after {
-                        Next::Close
+                        Next::Linger
                     } else {
                         conn.state = State::Reading;
                         conn.deadline = Instant::now() + self.shared.opts.read_timeout;
@@ -618,6 +638,7 @@ impl<H: HttpHandler> EventLoop<H> {
         };
         match next {
             Next::Close => self.close(token),
+            Next::Linger => self.linger(token),
             Next::Stay => {}
             Next::TryPipelined => {
                 // A pipelined request may already be buffered in full.
@@ -628,6 +649,39 @@ impl<H: HttpHandler> EventLoop<H> {
                 }
             }
         }
+    }
+
+    /// Shut the write side of a drained `close_after` response and start
+    /// discarding input under the read deadline.
+    fn linger(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if conn.stream.shutdown(Shutdown::Write).is_err() {
+            self.close(token);
+            return;
+        }
+        conn.state = State::Lingering;
+        conn.deadline = Instant::now() + self.shared.opts.read_timeout;
+        let _ = self
+            .poller
+            .modify(conn.stream.as_raw_fd(), token, true, false);
+        // The peer may have sent (and finished) already.
+        self.discard_input(token);
+    }
+
+    /// Read and drop whatever a lingering peer sends; close on its EOF.
+    fn discard_input(&mut self, token: u64) {
+        let mut sink = [0u8; 4096];
+        loop {
+            let Some(conn) = self.conns.get_mut(&token) else { return };
+            match conn.stream.read(&mut sink) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        self.close(token);
     }
 
     /// Deadline sweep + throttled re-arm, run every tick.

@@ -34,7 +34,7 @@
 use crate::wire::{self, Request, Response};
 use bytes::Bytes;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -85,7 +85,7 @@ impl Default for HttpOptions {
 /// Where a streamed response body comes from.
 #[derive(Debug)]
 pub enum BodySource {
-    /// Refcounted in-memory bytes (hot-cache hits, manifests): cloned
+    /// Refcounted in-memory bytes (resident blobs, JSON bodies): cloned
     /// per response, written in bounded chunks, never copied whole.
     Bytes(Bytes),
     /// A byte window of a file on disk. The loop engine moves it with
@@ -365,12 +365,38 @@ fn handle_connection<H: HttpHandler>(
             HttpAction::RespondTruncated(resp, after) => {
                 obs.count(&format!("{prefix}.chaos_truncations"), 1);
                 obs.count(&format!("{prefix}.bytes_out"), after.min(resp.body.len()) as u64);
-                let _ = wire::write_response(&mut writer, &resp, Some(after));
-                return; // the advertised length was a lie — drop the line
+                if wire::write_response(&mut writer, &resp, Some(after)).is_ok() {
+                    // The advertised length was a lie — drop the line.
+                    linger_close(&mut stream, read_timeout);
+                }
+                return;
             }
         }
         if close {
+            linger_close(&mut stream, read_timeout);
             return;
+        }
+    }
+}
+
+/// Lingering close: shut the write side, so the peer reads the whole
+/// response and then EOF, and discard its input until its own EOF or the
+/// read deadline. Closing with unread input queued would make the kernel
+/// answer with a reset that destroys the tail of the response in flight.
+fn linger_close(stream: &mut TcpStream, read_timeout: Duration) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let until = Instant::now() + read_timeout;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
     }
 }
@@ -383,10 +409,18 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     /// Echoes `METHOD PATH BODY`, except `/truncate`, which lies about its
-    /// body length; counts every request it routes.
+    /// body length, `/big` (2 MiB of [`pattern`]) and the file routes:
+    /// `/file` (all of `file`), `/window` (bytes 1000..6000) and `/short`
+    /// (claims 100 bytes more than the file has). Counts every request it
+    /// routes.
     #[derive(Default)]
     struct Echo {
         handled: AtomicUsize,
+        file: PathBuf,
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
     }
 
     impl HttpHandler for Echo {
@@ -399,6 +433,22 @@ mod tests {
             if req.path == "/truncate" {
                 let resp = Response::new(200).with_body(vec![b'x'; 100]);
                 return ("truncate", HttpAction::RespondTruncated(resp, 10));
+            }
+            if req.path == "/big" {
+                let body = BodySource::Bytes(Bytes::from(pattern(2 << 20)));
+                return ("big", HttpAction::RespondBody(Response::new(200), body));
+            }
+            let file_len = || std::fs::metadata(&self.file).unwrap().len();
+            let window = match req.path.as_str() {
+                "/file" => Some((0, file_len())),
+                "/window" => Some((1000, 5000)),
+                "/short" => Some((0, file_len() + 100)),
+                _ => None,
+            };
+            if let Some((offset, len)) = window {
+                let path = self.file.clone();
+                let body = BodySource::File { path, offset, len };
+                return ("file", HttpAction::RespondBody(Response::new(200), body));
             }
             let mut body = format!("{} {} ", req.method, req.path).into_bytes();
             body.extend_from_slice(&req.body);
@@ -416,11 +466,15 @@ mod tests {
         write_request(w, "GET", path, headers, None, false).unwrap();
     }
 
-    fn body(r: &mut BufReader<TcpStream>) -> String {
+    fn raw_body(r: &mut BufReader<TcpStream>) -> Vec<u8> {
         let mut sink = Vec::new();
-        let (status, _) = read_response_into(r, &mut sink, 1 << 20).unwrap();
+        let (status, _) = read_response_into(r, &mut sink, 4 << 20).unwrap();
         assert_eq!(status, 200);
-        String::from_utf8(sink).unwrap()
+        sink
+    }
+
+    fn body(r: &mut BufReader<TcpStream>) -> String {
+        String::from_utf8(raw_body(r)).unwrap()
     }
 
     fn at_eof(r: &mut BufReader<TcpStream>) -> bool {
@@ -466,6 +520,8 @@ mod tests {
         assert_eq!(body(&mut r), "GET /bye ");
         assert!(at_eof(&mut r));
         assert_eq!(handler.handled.load(Ordering::SeqCst), 6);
+        // Hanging up ends the server's lingering close.
+        drop((w, r));
 
         // A truncated response sends its advertised prefix and drops the
         // line.
@@ -477,6 +533,7 @@ mod tests {
         assert_eq!(sink, vec![b'x'; 10]);
         assert!(at_eof(&mut r));
         assert_eq!(handler.handled.load(Ordering::SeqCst), 7);
+        drop((w, r));
 
         // A body over `max_body` is refused before the handler sees it.
         let (mut w, mut r) = connect(addr);
@@ -484,6 +541,61 @@ mod tests {
         assert!(read_response_into(&mut r, &mut Vec::new(), 1 << 20).is_err());
         assert_eq!(handler.handled.load(Ordering::SeqCst), 7);
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn pool_engine_streams_file_bodies() {
+        let dir = std::env::temp_dir().join(format!("comt-http-pool-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("blob");
+        // Over one STREAM_CHUNK, so the copy loop runs more than once.
+        let content = pattern(STREAM_CHUNK + 4321);
+        std::fs::write(&file, &content).unwrap();
+        let handler = Arc::new(Echo {
+            file,
+            ..Default::default()
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = serve_pool(handler, listener, &HttpOptions::default()).unwrap();
+
+        // A whole file and an offset window, keep-alive on one line.
+        let (mut w, mut r) = connect(server.addr);
+        get(&mut w, "/file", &[]);
+        assert_eq!(raw_body(&mut r), content);
+        get(&mut w, "/window", &[]);
+        assert_eq!(raw_body(&mut r), &content[1000..6000]);
+
+        // A file shorter than it claims sends what it has, then drops the
+        // line instead of leaving the peer waiting for the rest.
+        get(&mut w, "/short", &[]);
+        let mut sink = Vec::new();
+        let err = read_response_into(&mut r, &mut sink, 4 << 20).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(sink, content);
+        assert!(at_eof(&mut r));
+
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pool_engine_close_delivers_the_whole_body_despite_unread_input() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = serve_pool(Arc::new(Echo::default()), listener, &HttpOptions::default())
+            .unwrap();
+        let (mut w, mut r) = connect(server.addr);
+        get(&mut w, "/big", &[("Connection".into(), "close".into())]);
+        // Start reading, then send bytes the server will never parse.
+        let mut first = vec![0u8; 1024];
+        r.read_exact(&mut first).unwrap();
+        w.write_all(b"stray bytes").unwrap();
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest).unwrap();
+        first.extend_from_slice(&rest);
+        let at = first.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        assert!(first[at..] == pattern(2 << 20), "body lost its tail");
+        drop((w, r));
         server.shutdown();
     }
 }

@@ -22,14 +22,16 @@
 //!
 //! Uploads never become visible until the body's digest matches its
 //! address; manifest tags never become visible until the whole closure is
-//! present and bit-verified. The client keeps partial downloads across
-//! dropped connections and continues with `Range` requests, wrapping every
-//! operation in bounded exponential-backoff retries.
+//! present and bit-verified. The daemon hashes each stored blob once per
+//! lifetime, on its first whole-body GET, and serves it from its handle
+//! after that (one gate, in [`server`]). The client keeps partial
+//! downloads across dropped connections and continues with `Range`
+//! requests, wrapping every operation in bounded exponential-backoff
+//! retries.
 
 pub mod buildd;
 pub mod client;
 pub mod eventloop;
-pub mod hotcache;
 pub mod http;
 pub mod poller;
 pub mod server;
@@ -37,7 +39,6 @@ pub mod wire;
 
 pub use buildd::{serve_buildd, BuilddClient, BuilddServer, JobRequest, JobStatusWire};
 pub use client::{DistClient, PullOptions, RetryPolicy, TransferStats};
-pub use hotcache::{CacheStats, HotBlobCache};
 pub use http::{
     serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer, STREAM_CHUNK,
 };

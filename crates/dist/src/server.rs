@@ -18,6 +18,17 @@
 //! (`comt serve` on a real layout, each blob and tag committed durably at
 //! publish time) serve through identical protocol code.
 //!
+//! ## Serving stored bytes
+//!
+//! Every whole-body GET — blobs, manifests, chunkmaps — passes one
+//! verify-once gate: the first time the daemon serves a digest it hashes
+//! the stored bytes (single flight, inside the `dist.server.verify` span),
+//! then serves the handle itself, resident bytes as a shared clone and
+//! disk blobs as a file window. A failed check answers 500 and is not
+//! remembered. Bytes that rot on disk after their check are caught by the
+//! client's digest check and by `comt fsck`. Range GETs read only their
+//! window and are left to the client's per-chunk check.
+//!
 //! ## Atomicity
 //!
 //! Uploads are **staged**: the body accumulates in a per-request buffer,
@@ -29,7 +40,6 @@
 //! just presence) before the tag appears, so a pull can never observe a
 //! half-pushed image.
 
-use crate::hotcache::HotBlobCache;
 use crate::http::{serve_http, BodySource, HttpAction, HttpHandler, HttpOptions, HttpServer};
 use crate::wire::{self, Request, Response};
 use crate::{tag_key, MEDIA_TYPE_MANIFEST};
@@ -37,12 +47,11 @@ use comt_digest::Digest;
 use comt_oci::layout::OciDir;
 use comt_oci::store::RegistryError;
 use comt_oci::{BlobHandle, RegistryBackend};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Fault injection: truncate the next `truncate_blob_gets` blob GET
 /// responses after `truncate_after` body bytes and drop the connection.
@@ -60,73 +69,23 @@ pub struct Chaos {
 
 /// Server tuning knobs: the shared [`HttpOptions`] plus registry-specific
 /// fault injection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerOptions {
-    /// Worker threads handling connections (the pool bound).
-    pub threads: usize,
-    /// Pending-connection queue depth (see [`HttpOptions::backlog`]).
-    pub backlog: usize,
-    /// Per-connection socket read deadline.
-    pub read_timeout: Duration,
-    /// Per-connection socket write deadline.
-    pub write_timeout: Duration,
-    /// Largest accepted request body (blob upload cap).
-    pub max_body: usize,
-    /// Byte budget for the hot-blob LRU in front of the backend; 0
-    /// disables caching (every GET goes to the store).
-    pub cache_bytes: u64,
-    /// Open-connection cap (event-loop engine; see [`HttpOptions`]).
-    pub max_conns: usize,
-    /// Per-client egress cap in bytes/sec; 0 disables (loop engine).
-    pub client_rate: u64,
+    /// Engine knobs shared with every daemon (threads, deadlines, caps).
+    pub http: HttpOptions,
     /// Optional fault injection.
     pub chaos: Option<Chaos>,
-}
-
-impl Default for ServerOptions {
-    fn default() -> Self {
-        let http = HttpOptions::default();
-        ServerOptions {
-            threads: http.threads,
-            backlog: http.backlog,
-            read_timeout: http.read_timeout,
-            write_timeout: http.write_timeout,
-            max_body: http.max_body,
-            cache_bytes: 64 << 20,
-            max_conns: http.max_conns,
-            client_rate: http.client_rate,
-            chaos: None,
-        }
-    }
-}
-
-impl ServerOptions {
-    fn http(&self) -> HttpOptions {
-        HttpOptions {
-            threads: self.threads,
-            backlog: self.backlog,
-            read_timeout: self.read_timeout,
-            write_timeout: self.write_timeout,
-            max_body: self.max_body,
-            max_conns: self.max_conns,
-            client_rate: self.client_rate,
-        }
-    }
 }
 
 /// The registry routing layer: backend + chaos budget behind the shared
 /// HTTP core.
 struct RegistryHandler<R: RegistryBackend> {
     registry: Mutex<R>,
-    /// Byte-budgeted LRU of verified hot blobs: a layer every node in a
-    /// cluster pulls is read and hashed once, then served as refcounted
-    /// [`bytes::Bytes`] clones.
-    cache: HotBlobCache,
-    /// Digests whose on-disk content has been stream-verified this
-    /// process lifetime — big blobs too large for the cache are checked
-    /// once, then served straight off the file (sendfile on the loop
-    /// engine) without re-hashing per GET.
-    verified: Mutex<HashSet<Digest>>,
+    /// The verify-once gate: digest → "hashed clean this lifetime". The
+    /// per-digest mutex is held across the hash, so concurrent first
+    /// GETs of one digest hash it once; a failed check leaves `false`,
+    /// so the next GET hashes again.
+    verified: Mutex<HashMap<Digest, Arc<Mutex<bool>>>>,
     chaos_budget: AtomicU32,
     chaos_after: usize,
     poison_budget: AtomicU32,
@@ -166,13 +125,12 @@ pub fn serve<R: RegistryBackend>(
 ) -> io::Result<DistServer<R>> {
     let state = Arc::new(RegistryHandler {
         registry: Mutex::new(registry),
-        cache: HotBlobCache::new(opts.cache_bytes),
-        verified: Mutex::new(HashSet::new()),
+        verified: Mutex::new(HashMap::new()),
         chaos_budget: AtomicU32::new(opts.chaos.map_or(0, |c| c.truncate_blob_gets)),
         chaos_after: opts.chaos.map_or(0, |c| c.truncate_after),
         poison_budget: AtomicU32::new(opts.chaos.map_or(0, |c| c.poison_range_gets)),
     });
-    let http = serve_http(Arc::clone(&state), addr, opts.http())?;
+    let http = serve_http(Arc::clone(&state), addr, opts.http)?;
     Ok(DistServer { http, state })
 }
 
@@ -282,35 +240,42 @@ fn unservable(what: &str, e: impl std::fmt::Display) -> HttpAction {
     HttpAction::Respond(Response::new(500).with_body(format!("stored {what} unservable: {e}")))
 }
 
-/// Verify a blob too large for the cache — once per process lifetime.
-/// The content is hashed in bounded chunks straight off its handle; after
-/// the first clean check, GETs stream the file without re-hashing.
-fn ensure_streamed_verified<R: RegistryBackend>(
+/// The one gate in front of every whole-body GET: the first time the
+/// daemon serves `digest` it hashes the stored bytes in bounded chunks
+/// straight off the handle; after that clean check the handle is served
+/// as is — a shared [`bytes::Bytes`] clone for resident blobs, a file
+/// window (sendfile on the loop engine) for disk blobs. A failed check is
+/// not remembered: the blob answers 500 until its bytes are healed.
+fn serve_verified<R: RegistryBackend>(
     state: &RegistryHandler<R>,
+    what: &str,
     digest: &Digest,
     handle: &BlobHandle,
-) -> Result<(), HttpAction> {
-    if state
-        .verified
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .contains(digest)
-    {
-        return Ok(());
-    }
-    let obs = comt_observe::global();
-    let _span = obs.span("dist.server.verify");
-    match handle.stream_verified(digest) {
-        Ok(_) => {
-            state
-                .verified
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(*digest);
-            Ok(())
+) -> Result<BodySource, HttpAction> {
+    let slot = Arc::clone(
+        state
+            .verified
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entry(*digest)
+            .or_default(),
+    );
+    let mut clean = slot.lock().unwrap_or_else(|e| e.into_inner());
+    if !*clean {
+        let _span = comt_observe::global().span("dist.server.verify");
+        if let Err(e) = handle.stream_verified(digest) {
+            return Err(unservable(what, e));
         }
-        Err(e) => Err(unservable("blob", e)),
+        *clean = true;
     }
+    Ok(match handle {
+        BlobHandle::Resident(b) => BodySource::Bytes(b.clone()),
+        BlobHandle::File { path, len } => BodySource::File {
+            path: path.clone(),
+            offset: 0,
+            len: *len,
+        },
+    })
 }
 
 fn blob_get<R: RegistryBackend>(
@@ -331,7 +296,6 @@ fn blob_get<R: RegistryBackend>(
     };
     let Some(handle) = handle else { return not_found() };
     let total = handle.len();
-    let obs = comt_observe::global();
     let range_header = req.header("range");
     let (start, end, status) = match wire::parse_range(range_header, total) {
         Some((s, e)) => (s, e, 206),
@@ -343,128 +307,86 @@ fn blob_get<R: RegistryBackend>(
         None => (0, total, 200),
     };
 
-    let source = if status == 206 {
-        // Range resume: touch only the requested window. A cache hit
-        // slices the shared verified bytes zero-copy; a miss seeks into
-        // the file and reads just `end - start` bytes — never the whole
-        // blob, never a cache admission. The window itself cannot be
-        // digest-checked in isolation; the client verifies the assembled
-        // blob against its address, as the protocol requires anyway.
-        match state.cache.get(&digest) {
-            Some(b) => BodySource::Bytes(b.slice(start as usize..end as usize)),
-            None => match handle.read_range(start, end) {
-                Ok(b) => BodySource::Bytes(b),
-                Err(e) => return unservable("blob", e),
-            },
-        }
-    } else if state.cache.admits(total) {
-        // Hot path: the LRU's single-flight loader reads + hashes the
-        // blob at most once per admission (verify-on-admit); every
-        // concurrent or later GET clones the refcounted bytes.
-        let _span = obs.span("dist.server.verify");
-        match state.cache.get_or_load(&digest, || handle.read_range(0, total)) {
-            Ok(b) => BodySource::Bytes(b),
-            Err(e) => return unservable("blob", e),
-        }
-    } else {
-        // Too big to cache: stream off the store in bounded chunks (the
-        // loop engine uses sendfile — the body never transits a Vec).
-        if let Err(a) = ensure_streamed_verified(state, &digest, &handle) {
-            return a;
-        }
-        match &handle {
-            BlobHandle::File { path, .. } => BodySource::File {
-                path: path.clone(),
-                offset: 0,
-                len: total,
-            },
-            BlobHandle::Resident(b) => BodySource::Bytes(b.clone()),
-        }
-    };
-
     let mut resp = Response::new(status).with_header("Docker-Content-Digest", reference);
-    if status == 206 {
+    let source = if status == 206 {
+        // Range resume: seek into the blob and read just `end - start`
+        // bytes — never the whole blob, never a verify pass. The window
+        // cannot be digest-checked in isolation; the client verifies
+        // each chunk and the assembled blob, as the protocol requires.
+        let window = match handle.read_range(start, end) {
+            Ok(b) => b,
+            Err(e) => return unservable("blob", e),
+        };
         resp = resp.with_header(
             "Content-Range",
             format!("bytes {}-{}/{}", start, end - 1, total),
         );
-    }
-    // Chaos: corrupt one byte of a ranged response. Headers stay truthful,
-    // so nothing short of content verification can notice — exactly the
-    // torn-chunk case the client's per-chunk digest check must catch.
-    if status == 206 {
-        let budget = state.poison_budget.load(Ordering::SeqCst);
-        if budget > 0
-            && state
-                .poison_budget
-                .compare_exchange(budget, budget - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            let mut body = match &source {
-                BodySource::Bytes(b) => b.to_vec(),
-                BodySource::File { .. } => match handle.read_range(start, end) {
-                    Ok(b) => b.to_vec(),
-                    Err(e) => return unservable("blob", e),
-                },
-            };
+        // Chaos: corrupt one byte of a ranged response. Headers stay
+        // truthful, so nothing short of content verification can notice —
+        // exactly the torn-chunk case the client's per-chunk digest check
+        // must catch.
+        if take_one(&state.poison_budget) {
+            let mut body = window.to_vec();
             if let Some(byte) = body.last_mut() {
                 *byte ^= 0xFF;
             }
             return HttpAction::Respond(resp.with_body(body));
         }
-    }
+        BodySource::Bytes(window)
+    } else {
+        match serve_verified(state, "blob", &digest, &handle) {
+            Ok(source) => source,
+            Err(a) => return a,
+        }
+    };
     // Chaos: pretend to serve the full range, cut the body short, hang up.
     // Truncation needs materialized bytes; chaos runs only in tests with
     // small payloads, so the materialization is bounded there.
-    if state.chaos_after > 0 && source.len() as usize > state.chaos_after {
-        let budget = state.chaos_budget.load(Ordering::SeqCst);
-        if budget > 0
-            && state
-                .chaos_budget
-                .compare_exchange(budget, budget - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            let body = match source {
-                BodySource::Bytes(b) => b.to_vec(),
-                BodySource::File { .. } => match handle.read_range(start, end) {
-                    Ok(b) => b.to_vec(),
-                    Err(e) => return unservable("blob", e),
-                },
-            };
-            let after = state.chaos_after;
-            return HttpAction::RespondTruncated(resp.with_body(body), after);
-        }
+    if state.chaos_after > 0
+        && source.len() as usize > state.chaos_after
+        && take_one(&state.chaos_budget)
+    {
+        let body = match source {
+            BodySource::Bytes(b) => b,
+            BodySource::File { .. } => match handle.read_range(start, end) {
+                Ok(b) => b,
+                Err(e) => return unservable("blob", e),
+            },
+        };
+        let after = state.chaos_after;
+        return HttpAction::RespondTruncated(resp.with_body(body.to_vec()), after);
     }
     HttpAction::RespondBody(resp, source)
 }
 
-/// `GET /v2/_comt/stats` — live serve-path counters as JSON (cache
-/// hit/miss/eviction totals, resident bytes, stream-verified digests,
-/// chunkmap traffic and this process's delta-pull savings).
+/// Spend one unit of a chaos budget, if any is left.
+fn take_one(budget: &AtomicU32) -> bool {
+    budget
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+        .is_ok()
+}
+
+/// `GET /v2/_comt/stats` — live serve-path counters as JSON (digests
+/// verified this lifetime, chunkmap traffic and this process's delta-pull
+/// savings).
 fn stats_response<R: RegistryBackend>(state: &RegistryHandler<R>) -> HttpAction {
-    let s = state.cache.stats();
+    // A slot busy hashing is not verified yet; `try_lock` also keeps this
+    // from waiting out a big blob's first check.
     let verified = state
         .verified
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .len();
+        .values()
+        .filter(|slot| matches!(slot.try_lock().as_deref(), Ok(true)))
+        .count();
     let obs = comt_observe::global();
     let body = format!(
         concat!(
-            "{{\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
-            "\"rejected\":{},\"entries\":{},\"bytes\":{},\"budget\":{}}},",
-            "\"stream_verified\":{},",
+            "{{\"stream_verified\":{},",
             "\"chunkmaps\":{{\"hits\":{},\"misses\":{},\"published\":{}}},",
             "\"delta\":{{\"chunks_hit\":{},\"chunks_fetched\":{},",
             "\"bytes_saved\":{},\"bytes_fetched\":{}}}}}"
         ),
-        s.hits,
-        s.misses,
-        s.evictions,
-        s.rejected,
-        s.entries,
-        s.bytes,
-        s.budget,
         verified,
         obs.counter("dist.server.chunkmap_hits"),
         obs.counter("dist.server.chunkmap_misses"),
@@ -534,25 +456,15 @@ fn manifest_get<R: RegistryBackend>(
             None => return not_found(),
         }
     };
-    // Manifests ride the same digest-keyed LRU as blobs: verified once
-    // on admission, served as refcounted clones after (get_or_load still
-    // verifies when a manifest is over the admission bound).
-    let body = {
-        let _span = comt_observe::global().span("dist.server.verify");
-        match state
-            .cache
-            .get_or_load(&digest, || handle.read_range(0, handle.len()))
-        {
-            Ok(b) => b,
-            Err(e) => return unservable("manifest", e),
-        }
-    };
-    HttpAction::RespondBody(
-        Response::new(200)
-            .with_header("Docker-Content-Digest", digest.to_oci_string())
-            .with_header("Content-Type", MEDIA_TYPE_MANIFEST),
-        BodySource::Bytes(body),
-    )
+    match serve_verified(state, "manifest", &digest, &handle) {
+        Ok(body) => HttpAction::RespondBody(
+            Response::new(200)
+                .with_header("Docker-Content-Digest", digest.to_oci_string())
+                .with_header("Content-Type", MEDIA_TYPE_MANIFEST),
+            body,
+        ),
+        Err(a) => a,
+    }
 }
 
 fn manifest_put<R: RegistryBackend>(
@@ -584,7 +496,7 @@ fn manifest_put<R: RegistryBackend>(
 /// `GET /v2/<name>/chunkmaps/<layer-digest>` — the chunk manifest the
 /// server holds for a layer blob, or 404 (the client then falls back to a
 /// full-blob pull). Chunkmaps are ordinary content-addressed blobs; they
-/// ride the same verified hot cache as everything else.
+/// pass the same verify-once gate as everything else.
 fn chunkmap_get<R: RegistryBackend>(
     _name: &str,
     reference: &str,
@@ -605,22 +517,16 @@ fn chunkmap_get<R: RegistryBackend>(
         obs.count("dist.server.chunkmap_misses", 1);
         return not_found();
     };
-    let body = {
-        let _span = obs.span("dist.server.verify");
-        match state
-            .cache
-            .get_or_load(&map_digest, || handle.read_range(0, handle.len()))
-        {
-            Ok(b) => b,
-            Err(e) => return unservable("chunkmap", e),
-        }
+    let body = match serve_verified(state, "chunkmap", &map_digest, &handle) {
+        Ok(body) => body,
+        Err(a) => return a,
     };
     obs.count("dist.server.chunkmap_hits", 1);
     HttpAction::RespondBody(
         Response::new(200)
             .with_header("Docker-Content-Digest", map_digest.to_oci_string())
             .with_header("Content-Type", comt_chunk::MEDIA_TYPE_CHUNKMAP),
-        BodySource::Bytes(body),
+        body,
     )
 }
 

@@ -4,7 +4,8 @@
 use bytes::Bytes;
 use comt_digest::Digest;
 use comt_dist::{
-    serve, split_ref, tag_key, Chaos, DistClient, DistError, RetryPolicy, ServerOptions,
+    serve, split_ref, tag_key, Chaos, DistClient, DistError, HttpOptions, RetryPolicy,
+    ServerOptions,
 };
 use comt_oci::layout::OciDir;
 use comt_oci::store::closure_digests;
@@ -346,7 +347,10 @@ fn mid_write_disconnects_free_their_slots() {
     let closure = closure_digests(&local, &md).unwrap();
     let layer = closure[2];
     let server = start_server(ServerOptions {
-        max_conns: 2,
+        http: HttpOptions {
+            max_conns: 2,
+            ..Default::default()
+        },
         ..Default::default()
     });
     let client = DistClient::new(server.addr().to_string());
@@ -379,6 +383,34 @@ fn mid_write_disconnects_free_their_slots() {
 }
 
 #[test]
+fn close_delivers_the_whole_body_despite_unread_input() {
+    // `Connection: close` with bytes the server never reads: closing the
+    // socket outright would answer them with a reset that destroys the
+    // body's tail still in flight. The server must shut its write side
+    // and wait for the peer's EOF instead.
+    let blob: Vec<u8> = (0..2 * 1024 * 1024).map(|i| (i % 251) as u8).collect();
+    let d = Digest::of(&blob);
+    let mut reg = OciDir::new();
+    reg.put_blob(d, Bytes::from(blob.clone())).unwrap();
+    let server = serve(reg, "127.0.0.1:0", ServerOptions::default()).unwrap();
+
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    let req = format!(
+        "GET /v2/x/blobs/{} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        d.to_oci_string()
+    );
+    s.write_all(req.as_bytes()).unwrap();
+    let mut got = vec![0u8; 1024];
+    s.read_exact(&mut got).unwrap();
+    s.write_all(b"stray bytes").unwrap();
+    s.read_to_end(&mut got).unwrap();
+    let at = got.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+    assert!(got[at..] == blob[..], "body lost its tail");
+    drop(s);
+    drop(server);
+}
+
+#[test]
 fn stalled_zero_window_reader_is_timed_out_not_wedging() {
     // A peer that requests a large blob and then never reads — a
     // zero-window stall — must be closed by the write deadline while the
@@ -389,7 +421,10 @@ fn stalled_zero_window_reader_is_timed_out_not_wedging() {
     let closure = closure_digests(&local, &md).unwrap();
     let layer = closure[2];
     let server = start_server(ServerOptions {
-        write_timeout: std::time::Duration::from_millis(500),
+        http: HttpOptions {
+            write_timeout: std::time::Duration::from_millis(500),
+            ..Default::default()
+        },
         ..Default::default()
     });
     let client = DistClient::new(server.addr().to_string());

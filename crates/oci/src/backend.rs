@@ -19,7 +19,7 @@
 //!   rejected publish leaves no trace.
 //! * [`RegistryBackend::blob_handle`] returns a cheap handle so the server
 //!   can drop its lock before the expensive part (file read + re-hash)
-//!   happens in [`BlobHandle::read_verified`].
+//!   happens in [`BlobHandle::stream_verified`].
 
 use crate::spec::{Descriptor, ImageIndex, MediaType};
 use crate::store::{closure_of_manifest, RegistryError};
@@ -58,28 +58,6 @@ impl BlobHandle {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Materialize the blob and verify its content against `want`. This is
-    /// where the re-hash (and for disk handles, the file read) happens —
-    /// call it after releasing the registry lock. Use only where the whole
-    /// blob is genuinely needed in memory (LRU admission, manifest reads);
-    /// the serve path streams via [`BlobHandle::stream_verified`] and
-    /// [`BlobHandle::read_range`] instead.
-    pub fn read_verified(&self, want: &Digest) -> Result<Bytes, RegistryError> {
-        let data = match self {
-            BlobHandle::Resident(b) => b.clone(),
-            BlobHandle::File { path, .. } => {
-                let data = std::fs::read(path)
-                    .map_err(|e| RegistryError::Storage(format!("{}: {e}", path.display())))?;
-                comt_observe::global().count(FILE_BYTES_READ, data.len() as u64);
-                Bytes::from(data)
-            }
-        };
-        if Digest::of(&data) != *want {
-            return Err(RegistryError::DigestMismatch(want.to_string()));
-        }
-        Ok(data)
     }
 
     /// A chunked [`Read`] over the blob. Resident handles read from the
@@ -251,11 +229,11 @@ mod tests {
     fn resident_handle_verifies() {
         let data = Bytes::from_static(b"payload");
         let d = Digest::of(&data);
-        let h = BlobHandle::Resident(data.clone());
+        let h = BlobHandle::Resident(data);
         assert_eq!(h.len(), 7);
-        assert_eq!(h.read_verified(&d).unwrap(), data);
+        assert_eq!(h.stream_verified(&d).unwrap(), 7);
         assert!(matches!(
-            h.read_verified(&Digest::of(b"other")),
+            h.stream_verified(&Digest::of(b"other")),
             Err(RegistryError::DigestMismatch(_))
         ));
     }
