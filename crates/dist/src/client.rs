@@ -117,6 +117,19 @@ impl Default for PullOptions {
     }
 }
 
+/// Hash a whole-body answer and check it against the digest the server
+/// advertises for it, when it advertises one.
+fn check_advertised(headers: &[(String, String)], body: &[u8]) -> Result<Digest, DistError> {
+    let got = Digest::of(body);
+    match wire::find_header(headers, "docker-content-digest") {
+        Some(advertised) if advertised != got.to_oci_string() => Err(DistError::DigestMismatch {
+            expected: advertised.to_string(),
+            got: got.to_oci_string(),
+        }),
+        _ => Ok(got),
+    }
+}
+
 /// A client bound to one registry address.
 #[derive(Debug, Clone)]
 pub struct DistClient {
@@ -195,10 +208,27 @@ impl DistClient {
             .map_err(|e| DistError::io("read response", e))
     }
 
-    /// Run `attempt` under the retry loop. The closure decides what a
-    /// non-transport failure means by returning `Err`; transport errors
-    /// and 5xx are retried, 4xx are not.
-    fn with_retries<T>(
+    /// One request/response exchange on a fresh connection, no retries:
+    /// the transport building block for protocol clients layered on this
+    /// one (the buildd job client). Returns status, headers and body.
+    pub fn raw_exchange(
+        &self,
+        method: &str,
+        path: &str,
+        headers: &[(String, String)],
+        body: Option<&[u8]>,
+    ) -> Result<RawResponse, DistError> {
+        let mut sink = Vec::new();
+        let (status, resp_headers) = self.exchange(method, path, headers, body, false, &mut sink)?;
+        Ok((status, resp_headers, sink))
+    }
+
+    /// Run an operation under this client's bounded retry loop — public
+    /// for layered protocol clients. The closure decides what a
+    /// non-transport failure means by returning `Err`: transport errors,
+    /// protocol hiccups and 5xx are retried; definitive answers (4xx) are
+    /// not.
+    pub fn retrying<T>(
         &self,
         op: &str,
         mut attempt_fn: impl FnMut() -> Result<T, DistError>,
@@ -226,38 +256,11 @@ impl DistClient {
         })
     }
 
-    /// One request/response exchange on a fresh connection, no retries:
-    /// the transport building block for protocol clients layered on this
-    /// one (the buildd job client). Returns status, headers and body.
-    pub fn raw_exchange(
-        &self,
-        method: &str,
-        path: &str,
-        headers: &[(String, String)],
-        body: Option<&[u8]>,
-    ) -> Result<RawResponse, DistError> {
-        let mut sink = Vec::new();
-        let (status, resp_headers) = self.exchange(method, path, headers, body, false, &mut sink)?;
-        Ok((status, resp_headers, sink))
-    }
-
-    /// Run an operation under this client's bounded retry loop — public
-    /// for layered protocol clients. Transport errors, protocol hiccups
-    /// and 5xx are retried; definitive answers (4xx) are not.
-    pub fn retrying<T>(
-        &self,
-        op: &str,
-        attempt_fn: impl FnMut() -> Result<T, DistError>,
-    ) -> Result<T, DistError> {
-        self.with_retries(op, attempt_fn)
-    }
-
     /// Does the remote have this blob? Returns its size if so.
     pub fn head_blob(&self, name: &str, digest: &Digest) -> Result<Option<u64>, DistError> {
         let path = format!("/v2/{name}/blobs/{}", digest.to_oci_string());
-        self.with_retries("head blob", || {
-            let mut sink = Vec::new();
-            let (status, headers) = self.exchange("HEAD", &path, &[], None, false, &mut sink)?;
+        self.retrying("head blob", || {
+            let (status, headers, sink) = self.raw_exchange("HEAD", &path, &[], None)?;
             match status {
                 200 => Ok(wire::find_header(&headers, "x-content-length")
                     .and_then(|v| v.parse().ok())),
@@ -270,67 +273,116 @@ impl DistClient {
     /// Download a blob, resuming across dropped connections and verifying
     /// the digest before returning.
     pub fn get_blob(&self, name: &str, digest: &Digest) -> Result<Bytes, DistError> {
-        let path = format!("/v2/{name}/blobs/{}", digest.to_oci_string());
-        let obs = comt_observe::global();
-        let _span = obs.span("dist.client.get_blob");
-        let mut buf: Vec<u8> = Vec::new();
-        self.with_retries("get blob", || {
-            let mut headers = Vec::new();
-            let resumed = !buf.is_empty();
-            if resumed {
-                obs.count("dist.client.resumes", 1);
-                headers.push(("Range".to_string(), format!("bytes={}-", buf.len())));
+        let _span = comt_observe::global().span("dist.client.get_blob");
+        let blob = self.get_resumable("get blob", name, digest, None, |buf| {
+            let got = Digest::of(buf);
+            if got == *digest {
+                return Ok(());
             }
-            let before = buf.len();
-            let result = self.exchange("GET", &path, &headers, None, false, &mut buf);
-            obs.count("dist.client.bytes_in", (buf.len() - before) as u64);
-            let (status, resp_headers) = match result {
-                Ok(v) => v,
-                Err(e) => return Err(e), // partial prefix stays in buf
+            Err(DistError::DigestMismatch {
+                expected: digest.to_oci_string(),
+                got: got.to_oci_string(),
+            })
+        })?;
+        Ok(Bytes::from(blob))
+    }
+
+    /// The one resumable blob GET: the whole blob (`window` = `None`) or
+    /// the byte window `[start, end)` of it, checked by `verify` before it
+    /// is returned. The bytes held survive a dropped connection and the
+    /// next attempt asks only for the rest with `Range`; a whole-blob GET's
+    /// first attempt sends no `Range`, so the server streams the blob
+    /// whole. A 200 is the whole blob (the server ignored the range), of
+    /// which the window is kept; a 206 must start where the bytes held
+    /// end, per its `Content-Range`; a 416 restarts from nothing. Bytes
+    /// that fail `verify` are discarded and the fetch restarts from
+    /// scratch.
+    fn get_resumable(
+        &self,
+        op: &str,
+        name: &str,
+        blob: &Digest,
+        window: Option<(u64, u64)>,
+        verify: impl Fn(&[u8]) -> Result<(), DistError>,
+    ) -> Result<Vec<u8>, DistError> {
+        let path = format!("/v2/{name}/blobs/{}", blob.to_oci_string());
+        let obs = comt_observe::global();
+        let mut buf: Vec<u8> = Vec::new();
+        self.retrying(op, || {
+            if !buf.is_empty() {
+                obs.count("dist.client.resumes", 1);
+            }
+            let from = window.map_or(0, |(start, _)| start) + buf.len() as u64;
+            let range = match window {
+                Some((_, end)) => format!("bytes={from}-{}", end - 1),
+                None if from > 0 => format!("bytes={from}-"),
+                None => String::new(),
             };
-            match (status, resumed) {
-                (200, false) | (206, true) => {}
-                (200, true) => {
-                    // Server ignored the range; its body is the whole blob.
+            let ranged = !range.is_empty();
+            let headers: &[(String, String)] = if ranged {
+                &[("Range".to_string(), range)]
+            } else {
+                &[]
+            };
+            let before = buf.len();
+            let result = self.exchange("GET", &path, headers, None, false, &mut buf);
+            obs.count("dist.client.bytes_in", (buf.len() - before) as u64);
+            // On transport death the partial prefix stays in `buf`.
+            let (status, resp_headers) = result?;
+            match status {
+                200 => {
+                    // The whole blob: keep the window of it.
                     buf.drain(..before);
+                    if let Some((start, end)) = window {
+                        if (buf.len() as u64) < end {
+                            buf.clear();
+                            return Err(DistError::protocol("full-blob body shorter than window"));
+                        }
+                        buf.truncate(end as usize);
+                        buf.drain(..start as usize);
+                    }
                 }
-                (416, true) => {
+                206 => {
+                    // Cross-check the server's idea of the resume offset.
+                    let ok = wire::find_header(&resp_headers, "content-range")
+                        .and_then(|v| v.strip_prefix("bytes "))
+                        .and_then(|v| v.split('-').next())
+                        .and_then(|v| v.parse::<u64>().ok())
+                        == Some(from);
+                    if !ok {
+                        buf.clear();
+                        return Err(DistError::protocol("content-range offset mismatch"));
+                    }
+                }
+                416 if ranged => {
                     // Our offset confused the server — start over (a
                     // Protocol error is retryable, unlike a 4xx status).
                     buf.clear();
                     return Err(DistError::protocol("range not satisfiable, restarting"));
                 }
-                (404, _) => return Err(DistError::status("get blob", 404, b"not found")),
-                (s, _) => {
+                404 => return Err(DistError::status(op, 404, b"not found")),
+                s => {
                     let body = buf.split_off(before);
-                    return Err(DistError::status("get blob", s, &body));
+                    return Err(DistError::status(op, s, &body));
                 }
             }
-            if resumed && status == 206 {
-                // Cross-check the server's idea of the resume offset.
-                let ok = wire::find_header(&resp_headers, "content-range")
-                    .and_then(|v| v.strip_prefix("bytes "))
-                    .and_then(|v| v.split('-').next())
-                    .and_then(|v| v.parse::<usize>().ok())
-                    == Some(before);
-                if !ok {
-                    buf.clear();
-                    return Err(DistError::protocol("content-range offset mismatch"));
+            if let Some((start, end)) = window {
+                let want = (end - start) as usize;
+                if buf.len() != want {
+                    return Err(DistError::protocol(format!(
+                        "range window incomplete: {} of {want} bytes",
+                        buf.len()
+                    )));
                 }
             }
-            let got = Digest::of(&buf);
-            if got != *digest {
+            if let Err(e) = verify(&buf) {
                 obs.count("dist.client.verify_failures", 1);
-                let e = DistError::DigestMismatch {
-                    expected: digest.to_oci_string(),
-                    got: got.to_oci_string(),
-                };
                 buf.clear(); // corrupt transfer — retry from scratch
                 return Err(e);
             }
             Ok(())
         })?;
-        Ok(Bytes::from(std::mem::take(&mut buf)))
+        Ok(buf)
     }
 
     /// Upload a blob as a chunked PUT. The server stages, verifies and
@@ -339,7 +391,7 @@ impl DistClient {
         let path = format!("/v2/{name}/blobs/{}", digest.to_oci_string());
         let obs = comt_observe::global();
         let _span = obs.span("dist.client.put_blob");
-        self.with_retries("put blob", || {
+        self.retrying("put blob", || {
             let mut sink = Vec::new();
             let (status, _) = self.exchange("PUT", &path, &[], Some(data), true, &mut sink)?;
             match status {
@@ -357,22 +409,12 @@ impl DistClient {
     /// servers 404 the route); the caller falls back to a full-blob pull.
     pub fn get_chunkmap(&self, name: &str, layer: &Digest) -> Result<Option<Bytes>, DistError> {
         let path = format!("/v2/{name}/chunkmaps/{}", layer.to_oci_string());
-        self.with_retries("get chunkmap", || {
-            let mut sink = Vec::new();
-            let (status, headers) = self.exchange("GET", &path, &[], None, false, &mut sink)?;
+        self.retrying("get chunkmap", || {
+            let (status, headers, sink) = self.raw_exchange("GET", &path, &[], None)?;
             match status {
                 200 => {
-                    if let Some(advertised) = wire::find_header(&headers, "docker-content-digest")
-                    {
-                        let got = Digest::of(&sink);
-                        if advertised != got.to_oci_string() {
-                            return Err(DistError::DigestMismatch {
-                                expected: advertised.to_string(),
-                                got: got.to_oci_string(),
-                            });
-                        }
-                    }
-                    Ok(Some(Bytes::from(std::mem::take(&mut sink))))
+                    check_advertised(&headers, &sink)?;
+                    Ok(Some(Bytes::from(sink)))
                 }
                 404 | 405 => Ok(None),
                 s => Err(DistError::status("get chunkmap", s, &sink)),
@@ -391,10 +433,8 @@ impl DistClient {
     ) -> Result<bool, DistError> {
         let path = format!("/v2/{name}/chunkmaps/{}", layer.to_oci_string());
         let headers = [("Content-Type".to_string(), MEDIA_TYPE_CHUNKMAP.to_string())];
-        self.with_retries("put chunkmap", || {
-            let mut sink = Vec::new();
-            let (status, _) =
-                self.exchange("PUT", &path, &headers, Some(map_json), false, &mut sink)?;
+        self.retrying("put chunkmap", || {
+            let (status, _, sink) = self.raw_exchange("PUT", &path, &headers, Some(map_json))?;
             match status {
                 201 => Ok(true),
                 404 | 405 => Ok(false),
@@ -404,9 +444,10 @@ impl DistClient {
     }
 
     /// Fetch one byte window of a blob and verify every chunk inside it
-    /// against its digest from the chunkmap. Resumes across dropped
-    /// connections like [`DistClient::get_blob`]; a poisoned chunk (bytes
-    /// that no longer hash to their address) clears the buffer and
+    /// against its digest from the chunkmap: the only defense against a
+    /// poisoned window, because a byte span of a blob has no address of
+    /// its own to check against. Resumes across dropped connections like
+    /// [`DistClient::get_blob`]; a poisoned chunk clears the buffer and
     /// retries from the window start, so a transiently corrupting path
     /// heals and a persistently corrupting one fails closed.
     fn get_range_verified(
@@ -416,73 +457,17 @@ impl DistClient {
         range: &RangePlan,
         chunks: &[ChunkEntry],
     ) -> Result<Vec<u8>, DistError> {
-        let path = format!("/v2/{name}/blobs/{}", blob.to_oci_string());
-        let (start, end) = (range.start, range.end);
-        let want = (end - start) as usize;
-        let obs = comt_observe::global();
-        let mut buf: Vec<u8> = Vec::with_capacity(want);
-        self.with_retries("get chunk range", || {
-            let resumed = !buf.is_empty();
-            if resumed {
-                obs.count("dist.client.resumes", 1);
-            }
-            let from = start + buf.len() as u64;
-            let headers = vec![("Range".to_string(), format!("bytes={}-{}", from, end - 1))];
-            let before = buf.len();
-            let result = self.exchange("GET", &path, &headers, None, false, &mut buf);
-            obs.count("dist.client.bytes_in", (buf.len() - before) as u64);
-            let (status, resp_headers) = match result {
-                Ok(v) => v,
-                Err(e) => return Err(e), // partial window stays in buf
-            };
-            match status {
-                206 => {
-                    // Cross-check the server's idea of the window start.
-                    let ok = wire::find_header(&resp_headers, "content-range")
-                        .and_then(|v| v.strip_prefix("bytes "))
-                        .and_then(|v| v.split('-').next())
-                        .and_then(|v| v.parse::<u64>().ok())
-                        == Some(from);
-                    if !ok {
-                        buf.clear();
-                        return Err(DistError::protocol("content-range offset mismatch"));
-                    }
-                }
-                200 => {
-                    // Server ignored the range: its body is the whole
-                    // blob. Carve out our window and discard the rest.
-                    let whole = buf.split_off(before);
-                    buf.clear();
-                    if (whole.len() as u64) < end {
-                        return Err(DistError::protocol("full-blob body shorter than window"));
-                    }
-                    buf.extend_from_slice(&whole[start as usize..end as usize]);
-                }
-                404 => return Err(DistError::status("get chunk range", 404, b"not found")),
-                416 => {
-                    buf.clear();
-                    return Err(DistError::protocol("range not satisfiable, restarting"));
-                }
-                s => {
-                    let body = buf.split_off(before);
-                    return Err(DistError::status("get chunk range", s, &body));
-                }
-            }
-            if buf.len() != want {
-                return Err(DistError::protocol(format!(
-                    "range window incomplete: {} of {want} bytes",
-                    buf.len()
-                )));
-            }
-            // Per-chunk verification: the only defense against a poisoned
-            // window, because a byte span of a blob has no address of its
-            // own to check against.
-            for c in chunks {
-                let off = (c.offset - start) as usize;
+        let digests = chunks
+            .iter()
+            .map(ChunkEntry::parsed_digest)
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| DistError::protocol(e.to_string()))?;
+        let window = Some((range.start, range.end));
+        self.get_resumable("get chunk range", name, blob, window, |buf| {
+            for (c, want) in chunks.iter().zip(&digests) {
+                let off = (c.offset - range.start) as usize;
                 let got = Digest::of(&buf[off..off + c.size as usize]);
-                if got != c.parsed_digest().map_err(|e| DistError::protocol(e.to_string()))? {
-                    obs.count("dist.client.verify_failures", 1);
-                    buf.clear(); // poisoned — refetch the whole window
+                if got != *want {
                     return Err(DistError::DigestMismatch {
                         expected: c.digest.clone(),
                         got: got.to_oci_string(),
@@ -490,8 +475,7 @@ impl DistClient {
                 }
             }
             Ok(())
-        })?;
-        Ok(buf)
+        })
     }
 
     /// Reassemble one layer from local chunks plus fetched ranges.
@@ -582,23 +566,10 @@ impl DistClient {
     /// Fetch a manifest by tag; returns its (verified) digest and bytes.
     pub fn get_manifest(&self, name: &str, reference: &str) -> Result<(Digest, Bytes), DistError> {
         let path = format!("/v2/{name}/manifests/{reference}");
-        self.with_retries("get manifest", || {
-            let mut sink = Vec::new();
-            let (status, headers) = self.exchange("GET", &path, &[], None, false, &mut sink)?;
+        self.retrying("get manifest", || {
+            let (status, headers, sink) = self.raw_exchange("GET", &path, &[], None)?;
             match status {
-                200 => {
-                    let digest = Digest::of(&sink);
-                    if let Some(advertised) = wire::find_header(&headers, "docker-content-digest")
-                    {
-                        if advertised != digest.to_oci_string() {
-                            return Err(DistError::DigestMismatch {
-                                expected: advertised.to_string(),
-                                got: digest.to_oci_string(),
-                            });
-                        }
-                    }
-                    Ok((digest, Bytes::from(sink)))
-                }
+                200 => Ok((check_advertised(&headers, &sink)?, Bytes::from(sink))),
                 404 => Err(DistError::status(
                     "get manifest",
                     404,
@@ -619,10 +590,8 @@ impl DistClient {
     ) -> Result<Digest, DistError> {
         let path = format!("/v2/{name}/manifests/{reference}");
         let headers = [("Content-Type".to_string(), MEDIA_TYPE_MANIFEST.to_string())];
-        self.with_retries("put manifest", || {
-            let mut sink = Vec::new();
-            let (status, _) =
-                self.exchange("PUT", &path, &headers, Some(manifest), false, &mut sink)?;
+        self.retrying("put manifest", || {
+            let (status, _, sink) = self.raw_exchange("PUT", &path, &headers, Some(manifest))?;
             match status {
                 201 => Ok(Digest::of(manifest)),
                 s => Err(DistError::status("put manifest", s, &sink)),
@@ -838,5 +807,72 @@ mod tests {
         // Jitter floor is half the exponential value, so attempt 6's floor
         // (64ms ⇒ ≥32ms) clears attempt 2's ceiling (8ms).
         assert!(p.backoff(6, 7) > p.backoff(2, 7));
+    }
+
+    /// A registry stand-in that ignores `Range`: it serves two GETs, each
+    /// answered 200 with the whole `blob`, the first cut off after `cut`
+    /// body bytes. Joining it yields the `Range` header of each request.
+    fn range_ignoring_server(
+        blob: Vec<u8>,
+        cut: usize,
+    ) -> (SocketAddr, std::thread::JoinHandle<Vec<Option<String>>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let resp = wire::Response::new(200).with_body(blob);
+            let mut ranges = Vec::new();
+            for (i, conn) in listener.incoming().take(2).enumerate() {
+                let mut conn = conn.unwrap();
+                let req = wire::RequestParser::new(0)
+                    .read_from(&mut conn)
+                    .unwrap()
+                    .unwrap();
+                ranges.push(req.header("range").map(str::to_string));
+                wire::write_response(&mut conn, &resp, (i == 0).then_some(cut)).unwrap();
+            }
+            ranges
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn resumed_gets_accept_a_whole_blob_from_a_server_that_ignores_range() {
+        let blob: Vec<u8> = (0..10_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let digest = Digest::of(&blob);
+        let policy = RetryPolicy {
+            base_delay: Duration::from_millis(1),
+            ..Default::default()
+        };
+
+        // Whole blob: the resumed GET asks for the rest, gets everything.
+        let (addr, server) = range_ignoring_server(blob.clone(), 3000);
+        let client = DistClient::with_policy(addr.to_string(), policy.clone());
+        assert_eq!(client.get_blob("app", &digest).unwrap()[..], blob[..]);
+        let ranges = server.join().unwrap();
+        assert_eq!(ranges, [None, Some("bytes=3000-".to_string())]);
+
+        // A chunk window: the whole blob is carved down to the window and
+        // every chunk in it verified.
+        let chunk = |offset: u64, size: u32| ChunkEntry {
+            offset,
+            size,
+            digest: Digest::of(&blob[offset as usize..offset as usize + size as usize])
+                .to_oci_string(),
+        };
+        let chunks = [chunk(4000, 1500), chunk(5500, 500)];
+        let range = RangePlan {
+            start: 4000,
+            end: 6000,
+            chunks: (0, 2),
+        };
+        let (addr, server) = range_ignoring_server(blob.clone(), 700);
+        let client = DistClient::with_policy(addr.to_string(), policy);
+        let window = client
+            .get_range_verified("app", &digest, &range, &chunks)
+            .unwrap();
+        assert_eq!(window, &blob[4000..6000]);
+        let ranges = server.join().unwrap();
+        let want = ["bytes=4000-5999", "bytes=4700-5999"].map(|r| Some(r.to_string()));
+        assert_eq!(ranges, want);
     }
 }

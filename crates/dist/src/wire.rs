@@ -1,10 +1,13 @@
 //! A minimal HTTP/1.1 wire codec — exactly the subset the distribution
 //! protocol needs, hand-rolled so the workspace stays hermetic.
 //!
-//! Supported: request/status lines, headers, `Content-Length` and
-//! `Transfer-Encoding: chunked` bodies, `Range: bytes=N-`/`bytes=N-M`
-//! parsing, and keep-alive semantics (`Connection: close` honoured).
-//! Everything is bounded: header blocks are capped at
+//! Supported: request/status lines, headers, `Content-Length` bodies,
+//! `Range: bytes=N-`/`bytes=N-M` parsing, and keep-alive semantics
+//! (`Connection: close` honoured). Requests and responses are read
+//! through one head parser and one `Content-Length` rule. Chunked
+//! bodies are accepted on requests only: every response is
+//! `Content-Length` framed, and a response carrying `Transfer-Encoding`
+//! is refused. Everything is bounded: header blocks are capped at
 //! [`MAX_HEADER_BYTES`], bodies at a caller-supplied limit, so a
 //! misbehaving peer cannot balloon memory.
 
@@ -96,83 +99,6 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Read one CRLF-terminated line, enforcing the shared header budget.
-fn read_line(r: &mut impl BufRead, budget: &mut usize) -> io::Result<String> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read_exact(&mut byte) {
-            Ok(()) => {}
-            Err(e) => return Err(e),
-        }
-        if *budget == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "header block exceeds limit",
-            ));
-        }
-        *budget -= 1;
-        if byte[0] == b'\n' {
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return String::from_utf8(line)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 header line"));
-        }
-        line.push(byte[0]);
-    }
-}
-
-/// Read the header section (after the start line) up to the blank line.
-fn read_headers(r: &mut impl BufRead, budget: &mut usize) -> io::Result<Vec<(String, String)>> {
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r, budget)?;
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("malformed header: {line}"))
-        })?;
-        headers.push((name.trim().to_string(), value.trim().to_string()));
-    }
-}
-
-/// Read a chunked transfer-encoded body.
-fn read_chunked(r: &mut impl BufRead, max_body: usize) -> io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    loop {
-        let mut budget = 128usize; // one size line
-        let size_line = read_line(r, &mut budget)?;
-        let hex = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(hex, 16)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad chunk size"))?;
-        if size == 0 {
-            // Trailer section: read lines until the blank terminator.
-            let mut trailer_budget = 1024usize;
-            loop {
-                if read_line(r, &mut trailer_budget)?.is_empty() {
-                    return Ok(body);
-                }
-            }
-        }
-        if body.len() + size > max_body {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "chunked body exceeds limit",
-            ));
-        }
-        let start = body.len();
-        body.resize(start + size, 0);
-        r.read_exact(&mut body[start..])?;
-        let mut crlf = [0u8; 2];
-        r.read_exact(&mut crlf)?;
-        if &crlf != b"\r\n" {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "chunk missing CRLF"));
-        }
-    }
-}
-
 /// Serialize a request. A `Some(body)` with `chunked = true` goes out as
 /// chunked transfer-encoding in [`UPLOAD_CHUNK`]-sized pieces; otherwise
 /// `Content-Length` framing is used.
@@ -219,74 +145,137 @@ pub fn write_response(
     resp: &Response,
     truncate_after: Option<usize>,
 ) -> io::Result<()> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", resp.status, reason(resp.status));
-    for (k, v) in &resp.headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-    w.write_all(head.as_bytes())?;
+    w.write_all(&response_head_bytes(resp, resp.body.len() as u64))?;
     let cut = truncate_after.unwrap_or(resp.body.len()).min(resp.body.len());
     w.write_all(&resp.body[..cut])?;
     w.flush()
 }
 
-/// Read a response status line and headers, then stream the body into
-/// `sink`. On a short read (peer died mid-body) the bytes received so far
-/// stay in `sink` and the error is surfaced — that partial prefix is what
-/// makes `Range` resume possible.
+/// Read a response head through the shared head parser, then stream its
+/// `Content-Length` body into `sink`. Nothing past the response is
+/// consumed, so keep-alive responses on one reader parse in turn. On a
+/// short read (peer died mid-body) the bytes received so far stay in
+/// `sink` and the error is surfaced — that partial prefix is what makes
+/// `Range` resume possible.
 pub fn read_response_into(
     r: &mut impl BufRead,
     sink: &mut Vec<u8>,
     max_body: usize,
 ) -> io::Result<(u16, Vec<(String, String)>)> {
-    let mut budget = MAX_HEADER_BYTES;
-    let start = read_line(r, &mut budget)?;
-    let status: u16 = start
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed status line: {start}"),
-            )
-        })?;
-    let headers = read_headers(r, &mut budget)?;
-    if find_header(&headers, "transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"))
-    {
-        let body = read_chunked(r, max_body)?;
-        sink.extend_from_slice(&body);
-        return Ok((status, headers));
+    let mut raw = Vec::new();
+    let head_end = loop {
+        let avail = r.fill_buf()?;
+        if avail.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer closed mid-head",
+            ));
+        }
+        let scanned = raw.len();
+        let take = avail.len().min(MAX_HEADER_BYTES + 1 - scanned);
+        raw.extend_from_slice(&avail[..take]);
+        if let Some(end) = find_head_end(&raw, scanned)? {
+            r.consume(end + 4 - scanned);
+            break end;
+        }
+        r.consume(take);
+    };
+    let head = parse_head(&raw[..head_end], StartLine::Status)?;
+    let (code, _reason) = &head.start;
+    let status = code
+        .parse::<u16>()
+        .map_err(|_| invalid(format!("malformed status code: {code}")))?;
+    if find_header(&head.headers, "transfer-encoding").is_some() {
+        return Err(invalid("transfer-encoded response refused"));
     }
-    let len = match find_header(&headers, "content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?,
+    let len = content_length(&head.headers, max_body)?;
+    let got = r.by_ref().take(len as u64).read_to_end(sink)?;
+    if got < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("body truncated: {} of {len} bytes missing", len - got),
+        ));
+    }
+    Ok((status, head.headers))
+}
+
+/// The start line and headers of one message head.
+#[derive(Debug)]
+struct Head {
+    /// The two start-line fields beside the version: method and target
+    /// of a request, status code and reason of a response.
+    start: (String, String),
+    headers: Vec<(String, String)>,
+}
+
+/// Which start line a head opens with.
+#[derive(Debug, Clone, Copy)]
+enum StartLine {
+    Request,
+    Status,
+}
+
+/// Locate the `\r\n\r\n` head terminator in `buf`, resuming the scan
+/// after the `scanned` bytes already searched (no O(n²) rescans while a
+/// large head trickles in). A head longer than [`MAX_HEADER_BYTES`] is
+/// refused whether or not it has ended.
+fn find_head_end(buf: &[u8], scanned: usize) -> io::Result<Option<usize>> {
+    let end = buf.len().min(MAX_HEADER_BYTES);
+    let from = scanned.saturating_sub(3).min(end);
+    if let Some(pos) = buf[from..end].windows(4).position(|w| w == b"\r\n\r\n") {
+        return Ok(Some(from + pos));
+    }
+    if buf.len() > MAX_HEADER_BYTES {
+        return Err(invalid("header block exceeds limit"));
+    }
+    Ok(None)
+}
+
+/// The one head parser, for requests and responses alike. `raw` is a head
+/// without its blank-line terminator. Its start line has three
+/// space-separated fields, one of them an `HTTP/1.x` version: last on a
+/// request line (`GET /path HTTP/1.1`), first on a status line
+/// (`HTTP/1.1 206 Partial Content`).
+fn parse_head(raw: &[u8], kind: StartLine) -> io::Result<Head> {
+    let text = std::str::from_utf8(raw).map_err(|_| invalid("non-utf8 header line"))?;
+    let mut lines = text.split("\r\n");
+    let line = lines.next().unwrap_or("");
+    let fields: Vec<&str> = line.splitn(3, ' ').collect();
+    let &[a, b, c] = fields.as_slice() else {
+        return Err(invalid(format!("malformed start line: {line}")));
+    };
+    let (version, start) = match kind {
+        StartLine::Request => (c, (a, b)),
+        StartLine::Status => (a, (b, c)),
+    };
+    if !version.starts_with("HTTP/1.") {
+        return Err(invalid(format!("unsupported version: {version}")));
+    }
+    let mut headers = Vec::new();
+    for line in lines {
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| invalid(format!("malformed header: {line}")))?;
+        headers.push((name.trim().to_string(), value.trim().to_string()));
+    }
+    Ok(Head {
+        start: (start.0.to_string(), start.1.to_string()),
+        headers,
+    })
+}
+
+/// The one `Content-Length` rule: an absent header means an empty body,
+/// and a declared length over `max_body` is refused before any of the
+/// body is read.
+fn content_length(headers: &[(String, String)], max_body: usize) -> io::Result<usize> {
+    let len = match find_header(headers, "content-length") {
+        Some(v) => v.parse::<usize>().map_err(|_| invalid("bad content-length"))?,
         None => 0,
     };
     if len > max_body {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("body of {len} bytes exceeds limit {max_body}"),
-        ));
+        return Err(invalid(format!("body of {len} bytes exceeds limit {max_body}")));
     }
-    // Stream in pieces so a truncated transfer leaves its prefix in `sink`.
-    let mut remaining = len;
-    let mut buf = [0u8; 16 * 1024];
-    while remaining > 0 {
-        let want = remaining.min(buf.len());
-        let n = r.read(&mut buf[..want])?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("body truncated: {remaining} of {len} bytes missing"),
-            ));
-        }
-        sink.extend_from_slice(&buf[..n]);
-        remaining -= n;
-    }
-    Ok((status, headers))
+    Ok(len)
 }
 
 /// Incremental request parser for the nonblocking serve path.
@@ -294,8 +283,9 @@ pub fn read_response_into(
 /// The one request parser of both serve engines. The event loop feeds
 /// whatever bytes the socket had; the pool engine drives it from a
 /// blocking read loop ([`RequestParser::read_from`]). Either way it
-/// consumes the request line, headers, and `Content-Length` or chunked
-/// bodies under shared header/body budgets, without re-scanning
+/// consumes the head (through the head parser [`read_response_into`]
+/// shares) and a `Content-Length` or chunked body under shared
+/// header/body budgets, without re-scanning
 /// already-seen bytes. Bytes past a complete request stay buffered for
 /// the next keep-alive round.
 #[derive(Debug)]
@@ -311,15 +301,8 @@ pub struct RequestParser {
 #[derive(Debug)]
 enum Phase {
     Head,
-    Sized { head: HeadParts, need: usize },
-    Chunked { head: HeadParts, decoded: Vec<u8>, chunk: ChunkPhase },
-}
-
-#[derive(Debug)]
-struct HeadParts {
-    method: String,
-    path: String,
-    headers: Vec<(String, String)>,
+    Sized { head: Head, need: usize },
+    Chunked { head: Head, decoded: Vec<u8>, chunk: ChunkPhase },
 }
 
 #[derive(Debug)]
@@ -367,10 +350,11 @@ impl RequestParser {
         loop {
             match std::mem::replace(&mut self.phase, Phase::Head) {
                 Phase::Head => {
-                    let Some(head_end) = self.find_head_end()? else {
+                    let Some(head_end) = find_head_end(&self.buf, self.scanned)? else {
+                        self.scanned = self.buf.len();
                         return Ok(None);
                     };
-                    let head = self.parse_head(head_end)?;
+                    let head = parse_head(&self.buf[..head_end], StartLine::Request)?;
                     self.buf.drain(..head_end + 4);
                     self.scanned = 0;
                     if find_header(&head.headers, "transfer-encoding")
@@ -383,16 +367,7 @@ impl RequestParser {
                         };
                         continue;
                     }
-                    let need = match find_header(&head.headers, "content-length") {
-                        Some(v) => v.parse::<usize>().map_err(|_| invalid("bad content-length"))?,
-                        None => 0,
-                    };
-                    if need > self.max_body {
-                        return Err(invalid(format!(
-                            "body of {need} bytes exceeds limit {}",
-                            self.max_body
-                        )));
-                    }
+                    let need = content_length(&head.headers, self.max_body)?;
                     if need == 0 {
                         return Ok(Some(self.produce(head, Vec::new())));
                     }
@@ -407,15 +382,13 @@ impl RequestParser {
                     return Ok(Some(self.produce(head, body)));
                 }
                 Phase::Chunked { head, mut decoded, mut chunk } => {
+                    // Advance until the body completes or the bytes run out.
                     loop {
-                        match chunk {
+                        chunk = match chunk {
                             ChunkPhase::Size => {
-                                let Some(line_end) = find_crlf(&self.buf, 130) else {
-                                    if self.buf.len() > 130 {
-                                        return Err(invalid("chunk size line too long"));
-                                    }
-                                    self.phase = Phase::Chunked { head, decoded, chunk };
-                                    return Ok(None);
+                                let Some(line_end) = find_line(&self.buf, 130, "chunk size line")?
+                                else {
+                                    break;
                                 };
                                 let line = std::str::from_utf8(&self.buf[..line_end])
                                     .map_err(|_| invalid("non-utf8 chunk size"))?;
@@ -423,57 +396,52 @@ impl RequestParser {
                                 let size = usize::from_str_radix(hex, 16)
                                     .map_err(|_| invalid("bad chunk size"))?;
                                 self.buf.drain(..line_end + 2);
-                                chunk = if size == 0 {
-                                    ChunkPhase::Trailer
-                                } else {
-                                    if decoded.len() + size > self.max_body {
-                                        return Err(invalid("chunked body exceeds limit"));
-                                    }
-                                    ChunkPhase::Data { remaining: size }
-                                };
+                                // `decoded` never exceeds the budget, so the
+                                // subtraction cannot wrap (an addition could).
+                                if size > self.max_body - decoded.len() {
+                                    return Err(invalid("chunked body exceeds limit"));
+                                }
+                                match size {
+                                    0 => ChunkPhase::Trailer,
+                                    _ => ChunkPhase::Data { remaining: size },
+                                }
                             }
                             ChunkPhase::Data { remaining } => {
+                                if self.buf.is_empty() {
+                                    break;
+                                }
                                 let take = remaining.min(self.buf.len());
                                 decoded.extend(self.buf.drain(..take));
-                                let left = remaining - take;
-                                if left > 0 {
-                                    self.phase = Phase::Chunked {
-                                        head,
-                                        decoded,
-                                        chunk: ChunkPhase::Data { remaining: left },
-                                    };
-                                    return Ok(None);
+                                match remaining - take {
+                                    0 => ChunkPhase::DataCrlf,
+                                    left => ChunkPhase::Data { remaining: left },
                                 }
-                                chunk = ChunkPhase::DataCrlf;
                             }
                             ChunkPhase::DataCrlf => {
                                 if self.buf.len() < 2 {
-                                    self.phase = Phase::Chunked { head, decoded, chunk };
-                                    return Ok(None);
+                                    break;
                                 }
                                 if &self.buf[..2] != b"\r\n" {
                                     return Err(invalid("chunk missing CRLF"));
                                 }
                                 self.buf.drain(..2);
-                                chunk = ChunkPhase::Size;
+                                ChunkPhase::Size
                             }
                             ChunkPhase::Trailer => {
-                                let Some(line_end) = find_crlf(&self.buf, 1024) else {
-                                    if self.buf.len() > 1024 {
-                                        return Err(invalid("trailer section too long"));
-                                    }
-                                    self.phase = Phase::Chunked { head, decoded, chunk };
-                                    return Ok(None);
+                                let Some(line_end) = find_line(&self.buf, 1024, "trailer section")?
+                                else {
+                                    break;
                                 };
-                                let empty = line_end == 0;
                                 self.buf.drain(..line_end + 2);
-                                if empty {
+                                if line_end == 0 {
                                     return Ok(Some(self.produce(head, decoded)));
                                 }
-                                chunk = ChunkPhase::Trailer;
+                                ChunkPhase::Trailer
                             }
-                        }
+                        };
                     }
+                    self.phase = Phase::Chunked { head, decoded, chunk };
+                    return Ok(None);
                 }
             }
         }
@@ -511,72 +479,26 @@ impl RequestParser {
         }
     }
 
-    /// Locate the `\r\n\r\n` head terminator, enforcing the header budget.
-    fn find_head_end(&mut self) -> io::Result<Option<usize>> {
-        let start = self.scanned.saturating_sub(3);
-        if let Some(pos) = self.buf[start..]
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .map(|p| p + start)
-        {
-            if pos + 4 > MAX_HEADER_BYTES {
-                return Err(invalid("header block exceeds limit"));
-            }
-            return Ok(Some(pos));
-        }
-        self.scanned = self.buf.len();
-        if self.buf.len() > MAX_HEADER_BYTES {
-            return Err(invalid("header block exceeds limit"));
-        }
-        Ok(None)
-    }
-
-    fn parse_head(&self, head_end: usize) -> io::Result<HeadParts> {
-        let head = std::str::from_utf8(&self.buf[..head_end])
-            .map_err(|_| invalid("non-utf8 header line"))?;
-        let mut lines = head.split("\r\n");
-        let start = lines.next().unwrap_or("");
-        let mut parts = start.split_whitespace();
-        let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(m), Some(p), Some(v)) => (m, p, v),
-            _ => return Err(invalid(format!("malformed request line: {start}"))),
-        };
-        if !version.starts_with("HTTP/1.") {
-            return Err(invalid(format!("unsupported version: {version}")));
-        }
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| invalid(format!("malformed header: {line}")))?;
-            headers.push((name.trim().to_string(), value.trim().to_string()));
-        }
-        Ok(HeadParts {
-            method: method.to_string(),
-            path: path.to_string(),
-            headers,
-        })
-    }
-
-    fn produce(&mut self, head: HeadParts, body: Vec<u8>) -> Request {
+    fn produce(&mut self, head: Head, body: Vec<u8>) -> Request {
         self.phase = Phase::Head;
         self.scanned = 0;
+        let (method, path) = head.start;
         Request {
-            method: head.method,
-            path: head.path,
+            method,
+            path,
             headers: head.headers,
             body,
         }
     }
 }
 
-fn find_crlf(buf: &[u8], budget: usize) -> Option<usize> {
-    buf[..buf.len().min(budget)]
-        .windows(2)
-        .position(|w| w == b"\r\n")
+/// The length of the CRLF-terminated line at the front of `buf`, or `None`
+/// while it is still arriving; a line longer than `budget` is refused.
+fn find_line(buf: &[u8], budget: usize, what: &str) -> io::Result<Option<usize>> {
+    match buf[..buf.len().min(budget)].windows(2).position(|w| w == b"\r\n") {
+        None if buf.len() > budget => Err(invalid(format!("{what} too long"))),
+        found => Ok(found),
+    }
 }
 
 /// Serialize only a response head with an explicit `Content-Length` —
@@ -622,6 +544,7 @@ pub fn parse_range(header: Option<&str>, total: u64) -> Option<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     /// A reader that hands out at most 1000 bytes per read.
@@ -835,6 +758,37 @@ mod tests {
         // Garbage request line.
         let mut parser = RequestParser::new(1 << 20);
         assert!(parser.feed(b"nonsense\r\n\r\n").is_err());
+        // A huge chunk size after a first chunk: the budget check must not
+        // wrap around and let the body grow past `max_body`.
+        let mut parser = RequestParser::new(1 << 20);
+        let raw = b"PUT /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                    1\r\na\r\nffffffffffffffff\r\n";
+        let err = parser.feed(raw).expect_err("chunk size over budget");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn responses_parse_in_turn_and_chunked_ones_are_refused() {
+        // Two keep-alive responses on one reader: the first read consumes
+        // nothing of the second.
+        let mut wire = Vec::new();
+        write_response(&mut wire, &Response::new(200).with_body(&b"one"[..]), None).unwrap();
+        write_response(&mut wire, &Response::new(404).with_body(&b"two!"[..]), None).unwrap();
+        let mut r = BufReader::with_capacity(7, &wire[..]);
+        for (status, body) in [(200, &b"one"[..]), (404, &b"two!"[..])] {
+            let mut sink = Vec::new();
+            assert_eq!(read_response_into(&mut r, &mut sink, 64).unwrap().0, status);
+            assert_eq!(sink, body);
+        }
+        let err = read_response_into(&mut r, &mut Vec::new(), 64).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // A chunked response is refused, not decoded.
+        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        let mut sink = Vec::new();
+        let err = read_response_into(&mut &raw[..], &mut sink, 64).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(sink.is_empty());
     }
 
     #[test]
@@ -860,5 +814,167 @@ mod tests {
         let huge = "184467440737095516160"; // u64::MAX * 10
         assert_eq!(parse_range(Some(&format!("bytes={huge}-")), 10), None);
         assert_eq!(parse_range(Some(&format!("bytes=-{huge}")), 10), None);
+    }
+
+    /// Splices the generator makes into valid messages: huge hex sizes and
+    /// lengths, framing headers, stray terminators.
+    const HOSTILE: &[&[u8]] = &[
+        b"ffffffffffffffff\r\n",
+        b"10000000000000000\r\n",
+        b"7fffffffffffffff;ext\r\n",
+        b"Content-Length: 18446744073709551615\r\n",
+        b"Content-Length: 18446744073709551616\r\n",
+        b"Content-Length: 99999999\r\n",
+        b"Content-Length: -1\r\n",
+        b"Transfer-Encoding: chunked\r\n",
+        b"\r\n\r\n",
+        b"\r\n",
+        b"0\r\n\r\n",
+        b"HTTP/2 200\r\n",
+    ];
+
+    /// A valid request (`PUT`, chunked or sized) or response carrying a
+    /// `body_len`-byte body.
+    fn valid_message(request: bool, chunked: bool, body_len: usize) -> Vec<u8> {
+        let body: Vec<u8> = (0..body_len).map(|i| (i % 251) as u8).collect();
+        let headers = [("X-Digest".to_string(), "sha256:ff".to_string())];
+        let mut wire = Vec::new();
+        if request {
+            write_request(
+                &mut wire,
+                "PUT",
+                "/v2/a/blobs/x",
+                &headers,
+                Some(&body),
+                chunked,
+            )
+            .unwrap();
+        } else {
+            let resp = Response::new(206)
+                .with_header("Content-Range", format!("bytes 0-{body_len}/*"))
+                .with_body(body);
+            write_response(&mut wire, &resp, None).unwrap();
+        }
+        wire
+    }
+
+    /// Apply `(kind, at, value)` edits in turn: flip a byte, truncate,
+    /// splice a [`HOSTILE`] token at the next line start (where a chunk
+    /// size or a header goes), bloat the head with a long header, or cut a
+    /// span out.
+    fn mutate(mut wire: Vec<u8>, edits: &[(u8, prop::sample::Index, u8)]) -> Vec<u8> {
+        for &(kind, at, value) in edits {
+            let i = at.index(wire.len() + 1);
+            match kind % 5 {
+                0 if i < wire.len() => wire[i] ^= value | 1,
+                1 => wire.truncate(i),
+                2 => {
+                    let token = HOSTILE[value as usize % HOSTILE.len()];
+                    let line = wire[i..].windows(2).position(|w| w == b"\r\n");
+                    let at = line.map_or(i, |p| i + p + 2);
+                    wire.splice(at..at, token.iter().copied());
+                }
+                3 => {
+                    let mut bloat = b"X-Bloat: ".to_vec();
+                    bloat.extend(std::iter::repeat_n(b'a', value as usize * 128));
+                    bloat.extend_from_slice(b"\r\n");
+                    wire.splice(i..i, bloat);
+                }
+                _ => {
+                    wire.drain(i..(i + value as usize % 16).min(wire.len()));
+                }
+            }
+        }
+        wire
+    }
+
+    /// Body bytes a parser holds decoded, not yet returned.
+    fn decoded_len(parser: &RequestParser) -> usize {
+        match &parser.phase {
+            Phase::Chunked { decoded, .. } => decoded.len(),
+            _ => 0,
+        }
+    }
+
+    fn typed(e: &io::Error) -> bool {
+        matches!(
+            e.kind(),
+            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Mutated requests fed at random split points and mutated
+        /// responses read through small buffers: no panic, no body over
+        /// `max_body` returned or held, every error `InvalidData` or
+        /// `UnexpectedEof`, and an untouched message parses back whole.
+        #[test]
+        fn wire_parsers_survive_adversarial_input(
+            request in any::<bool>(),
+            chunked in any::<bool>(),
+            body_len in 0usize..600,
+            max_body in 1usize..512,
+            edits in prop::collection::vec((0u8..5, any::<prop::sample::Index>(), any::<u8>()), 0..4),
+            splits in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+            read_cap in 1usize..64,
+        ) {
+            let wire = mutate(valid_message(request, chunked, body_len), &edits);
+            let pristine = edits.is_empty() && body_len <= max_body;
+            let mut bodies = Vec::new();
+            if request {
+                let mut cuts: Vec<usize> = splits.iter().map(|s| s.index(wire.len() + 1)).collect();
+                cuts.push(wire.len());
+                cuts.sort_unstable();
+                let mut parser = RequestParser::new(max_body);
+                let (mut fed, mut failed) = (0, false);
+                'feed: for cut in cuts {
+                    let mut data = &wire[fed..cut];
+                    fed = cut;
+                    loop {
+                        match parser.feed(data) {
+                            Ok(Some(req)) => bodies.push(req.body),
+                            Ok(None) => break,
+                            Err(e) => {
+                                prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                                failed = true;
+                                break 'feed;
+                            }
+                        }
+                        data = &[];
+                    }
+                    prop_assert!(decoded_len(&parser) <= max_body);
+                    prop_assert!(parser.buffered() <= fed);
+                }
+                if !failed {
+                    match parser.read_from(&mut &[][..]) {
+                        Ok(Some(req)) => bodies.push(req.body),
+                        Ok(None) => {}
+                        Err(e) => prop_assert!(typed(&e), "untyped error {e:?}"),
+                    }
+                }
+            } else {
+                let mut r = BufReader::with_capacity(read_cap, &wire[..]);
+                let mut sink = Vec::new();
+                match read_response_into(&mut r, &mut sink, max_body) {
+                    Ok((status, _)) => {
+                        prop_assert!(!pristine || status == 206);
+                        bodies.push(sink);
+                    }
+                    Err(e) => {
+                        prop_assert!(typed(&e), "untyped error {e:?}");
+                        prop_assert!(sink.len() <= max_body);
+                    }
+                }
+            }
+            for body in &bodies {
+                prop_assert!(body.len() <= max_body);
+            }
+            if pristine {
+                let want: Vec<u8> = (0..body_len).map(|i| (i % 251) as u8).collect();
+                prop_assert_eq!(bodies, vec![want]);
+            }
+        }
     }
 }
